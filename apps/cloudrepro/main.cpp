@@ -95,8 +95,8 @@ int usage(std::ostream& os, int code) {
         "options (run / suite / cache):\n"
         "  --threads N              campaign workers; 0 = all cores (default 0).\n"
         "                           For suite, the N workers are ONE shared\n"
-        "                           work-stealing budget across every member\n"
-        "                           scenario (output bytes unchanged)\n"
+        "                           pool across every member scenario (output\n"
+        "                           bytes unchanged)\n"
         "  --seed S                 master seed (default: the scenario's)\n"
         "  --cache-dir PATH         result cache root (default: $CLOUDREPRO_CACHE_DIR\n"
         "                           or .cloudrepro-cache)\n"
@@ -575,9 +575,9 @@ int cmd_suite(const Cli& cli) {
   // suite interrupted at member k still has k complete summary lines on
   // disk / in the pipe, and a long suite shows progress instead of
   // buffering everything for one final write. With --threads N the members
-  // share one work-stealing pool (one thread budget for the whole suite),
-  // but emission stays in member order, so the bytes are identical to the
-  // serial reference: one canonical summary per line.
+  // share one pool (one thread budget for the whole suite), but emission
+  // stays in member order, so the bytes are identical to the serial
+  // reference: one canonical summary per line.
   std::ofstream out_file;
   if (!cli.out_path.empty()) {
     out_file.open(cli.out_path, std::ios::binary | std::ios::trunc);

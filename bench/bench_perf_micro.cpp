@@ -3,15 +3,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <filesystem>
-#include <mutex>
 #include <optional>
-#include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bigdata/cluster.h"
@@ -21,9 +16,6 @@
 #include "core/campaign.h"
 #include "measure/iperf.h"
 #include "measure/patterns.h"
-#include "runtime/calendar_queue.h"
-#include "runtime/spsc_ring.h"
-#include "runtime/thread_pool.h"
 #include "obs/metrics.h"
 #include "scenario/result_store.h"
 #include "scenario/runner.h"
@@ -154,147 +146,14 @@ void BM_FluidAggregateRate(benchmark::State& state) {
 }
 BENCHMARK(BM_FluidAggregateRate)->Arg(8)->Arg(16)->Arg(32);
 
-// Deterministic jitter for the hold model below: xorshift64* mapped to
-// [0.5, 1.5). A *constant* increment is degenerate (the whole population
-// collapses onto one timestamp and the bench measures tie-breaking, not
-// scheduling), so classic event-queue benchmarks randomize it.
-double hold_jitter(std::uint64_t& s) {
-  s ^= s >> 12;
-  s ^= s << 25;
-  s ^= s >> 27;
-  return 0.5 + static_cast<double>((s * 2685821657736338717ULL) >> 11) *
-                   (1.0 / 9007199254740992.0);
-}
-
-// The event-queue hold model: a steady-state population of pending timers
-// where each pop immediately reschedules at time + a jittered cadence. Arg 0
-// picks the implementation (0 = std::priority_queue baseline with explicit
-// (time, seq) tie-breaking, 1 = the calendar queue that replaced it); arg 1
-// picks the cadence profile. Uniform (RTT-scale, arg 1 = 0) is the
-// tcp_stream/injector shape the swap targets; mixed (arg 1 = 1) spans five
-// orders of magnitude and is deliberately adversarial for a calendar — the
-// fast cohort clusters inside a sliver of the span, so it charts the skew
-// penalty the width-retune heuristic cannot remove.
-void BM_EventQueue(benchmark::State& state) {
-  const bool use_calendar = state.range(0) != 0;
-  const bool mixed = state.range(1) != 0;
-  constexpr int kPopulation = 256;
-  const auto cadence_of = [mixed](int i) {
-    if (!mixed) return 1e-3;
-    switch (i % 3) {
-      case 0: return 1e-3;
-      case 1: return 0.1;
-      default: return 60.0;
-    }
-  };
-  std::uint64_t jitter_state = 0x9E3779B97F4A7C15ULL;
-
-  struct HeapEntry {
-    double time;
-    std::uint64_t seq;
-    int id;
-    bool operator>(const HeapEntry& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
-  };
-
-  if (use_calendar) {
-    runtime::CalendarQueue<int> queue{1e-3};
-    for (int i = 0; i < kPopulation; ++i) {
-      queue.push(cadence_of(i) * hold_jitter(jitter_state), i);
-    }
-    for (auto _ : state) {
-      const double now = queue.next_time();
-      const int id = queue.pop();
-      queue.push(now + cadence_of(id) * hold_jitter(jitter_state), id);
-      benchmark::DoNotOptimize(id);
-    }
-  } else {
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> queue;
-    std::uint64_t seq = 0;
-    for (int i = 0; i < kPopulation; ++i) {
-      queue.push({cadence_of(i) * hold_jitter(jitter_state), seq++, i});
-    }
-    for (auto _ : state) {
-      const HeapEntry top = queue.top();
-      queue.pop();
-      queue.push(
-          {top.time + cadence_of(top.id) * hold_jitter(jitter_state), seq++, top.id});
-      benchmark::DoNotOptimize(top.id);
-    }
-  }
-  state.SetLabel(std::string{use_calendar ? "calendar" : "priority_queue"} +
-                 (mixed ? "/mixed" : "/uniform"));
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventQueue)->Args({0, 0})->Args({1, 0})->Args({0, 1})->Args({1, 1});
-
-// Producer-to-journal-writer handoff: one producer hands journal-line-sized
-// strings to a consumer. Arg 0 is the old mutex+condvar deque; arg 1 the
-// SPSC ring the campaign now uses. Items/sec is the handoff throughput.
-void BM_JournalHandoff(benchmark::State& state) {
-  const bool use_ring = state.range(0) != 0;
-  constexpr std::size_t kItems = 10000;
-  const std::string payload =
-      R"({"cell":3,"rep":17,"value":112.47381929,"crc":"9a3b2c1d"})";
-  for (auto _ : state) {
-    std::size_t received = 0;
-    if (use_ring) {
-      runtime::SpscRing<std::string> ring{256};
-      std::thread producer{[&ring, &payload] {
-        for (std::size_t i = 0; i < kItems; ++i) {
-          std::string line = payload;
-          while (!ring.try_push(line)) std::this_thread::yield();
-        }
-      }};
-      std::string out;
-      while (received < kItems) {
-        if (ring.try_pop(out)) {
-          benchmark::DoNotOptimize(out.data());
-          ++received;
-        } else {
-          std::this_thread::yield();  // Single-core hosts: let the producer run.
-        }
-      }
-      producer.join();
-    } else {
-      std::mutex mu;
-      std::condition_variable cv;
-      std::deque<std::string> queue;
-      std::thread producer{[&] {
-        for (std::size_t i = 0; i < kItems; ++i) {
-          {
-            std::lock_guard<std::mutex> lock{mu};
-            queue.push_back(payload);
-          }
-          cv.notify_one();
-        }
-      }};
-      while (received < kItems) {
-        std::unique_lock<std::mutex> lock{mu};
-        cv.wait(lock, [&] { return !queue.empty(); });
-        while (!queue.empty()) {
-          benchmark::DoNotOptimize(queue.front().data());
-          queue.pop_front();
-          ++received;
-        }
-      }
-      producer.join();
-    }
-  }
-  state.SetLabel(use_ring ? "spsc_ring" : "mutex_queue");
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kItems));
-}
-BENCHMARK(BM_JournalHandoff)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 // Suite scheduling: two unequal scenarios, serial member loop (arg 0)
-// versus the shared work-stealing pool (arg 1, four workers). The stealing
-// arm's win is the idle time reclaimed when the light member's cells finish
-// early; on a single-core host the two arms should tie (no regression).
+// versus one pool of four workers shared by both members (arg 1). The
+// shared arm's win is the idle time reclaimed when the light member's cells
+// finish early; on a single-core host the two arms should tie (no
+// regression). The name predates the single-queue pool and is kept as the
+// trajectory key in BENCH_campaign.json.
 void BM_SuiteWorkStealing(benchmark::State& state) {
-  const bool stealing = state.range(0) != 0;
+  const bool shared = state.range(0) != 0;
   std::vector<scenario::ScenarioSpec> specs(2);
   specs[0].name = "bench-suite-heavy";
   specs[0].workloads = {{"hibench", "TS", std::nullopt}};
@@ -306,11 +165,11 @@ void BM_SuiteWorkStealing(benchmark::State& state) {
   specs[1].repetitions = 2;
 
   scenario::RunOptions options;
-  options.threads = stealing ? 4 : 1;
+  options.threads = shared ? 4 : 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(scenario::run_suite(specs, options));
   }
-  state.SetLabel(stealing ? "work_stealing_4" : "serial");
+  state.SetLabel(shared ? "shared_pool_4" : "serial");
   state.SetItemsProcessed(state.iterations() * (3 * 2 + 2));
 }
 BENCHMARK(BM_SuiteWorkStealing)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);

@@ -3,15 +3,13 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <exception>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,7 +19,6 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
-#include "runtime/spsc_ring.h"
 #include "runtime/thread_pool.h"
 
 namespace cloudrepro::core {
@@ -43,96 +40,28 @@ bool cancelled(const CampaignOptions& options) noexcept {
   return options.cancel && options.cancel->load(std::memory_order_relaxed);
 }
 
-/// Handoff from the measurement workers to the single journal-writer
-/// (coordinating) thread: one SPSC ring per pool worker, keyed by
-/// `ThreadPool::current_worker_index()`, so each ring has exactly one
-/// producer (that worker) and one consumer (the writer). The producer fast
-/// path is lock-free and allocation-free; a full ring yields until the
-/// writer drains — bounded, because the writer never sleeps while
-/// `pending() > 0`. The `campaign.journal_queue_depth` histogram samples
-/// this structure's combined occupancy.
-template <typename T>
-class JournalHandoff {
- public:
-  /// `mu`/`cv` are the campaign driver's completion channel; the handoff
-  /// borrows them for its sleep/wake protocol so one wait covers both
-  /// "a record arrived" and "a task finished".
-  JournalHandoff(int workers, std::mutex& mu, std::condition_variable& cv)
-      : mu_{mu}, cv_{cv} {
-    rings_.reserve(static_cast<std::size_t>(workers));
-    for (int i = 0; i < workers; ++i) {
-      rings_.push_back(std::make_unique<runtime::SpscRing<T>>(kRingCapacity));
-    }
-  }
+/// One unit of campaign work: `count` consecutive repetitions of `cell`
+/// from repetition `first`. Non-adaptive tasks are single repetitions;
+/// adaptive tasks are whole cells, because the stopping rule decides after
+/// every value whether the next repetition exists.
+struct CampaignTask {
+  std::size_t cell = 0;
+  int first = 0;
+  int count = 0;
+};
 
-  /// Producer side. `worker` is the producer's index within the pool; -1
-  /// (not a pool worker) falls back to the mutex-guarded overflow queue.
-  void push(int worker, T value) {
-    // Count before the ring store: the consumer's decrement can then never
-    // outrun the increment (pop implies the matching add already happened),
-    // so `pending_` cannot underflow.
-    pending_.fetch_add(1, std::memory_order_seq_cst);
-    if (worker >= 0 && static_cast<std::size_t>(worker) < rings_.size()) {
-      auto& ring = *rings_[static_cast<std::size_t>(worker)];
-      while (!ring.try_push(value)) std::this_thread::yield();
-    } else {
-      std::lock_guard<std::mutex> lock{mu_};
-      overflow_.push_back(std::move(value));
-    }
-    // Dekker pair with the writer's sleep path: this thread stored
-    // `pending_` (seq_cst) before this load; the writer stores
-    // `consumer_waiting_` (seq_cst) before re-checking `pending_`.
-    // Whichever ran second sees the other, so a handed-off record is never
-    // stranded with the writer asleep. Lock-then-notify so a writer between
-    // its predicate check and its wait cannot miss the signal.
-    if (consumer_waiting_.load(std::memory_order_seq_cst)) {
-      std::lock_guard<std::mutex> lock{mu_};
-      cv_.notify_one();
-    }
-  }
+enum SlotState : char { kMissing, kReplayed, kMeasured };
 
-  /// Consumer side: appends everything currently handed off to `out` and
-  /// returns how many elements were taken.
-  std::size_t drain(std::vector<T>& out) {
-    const std::size_t before = out.size();
-    for (auto& ring : rings_) {
-      T value;
-      while (ring->try_pop(value)) out.push_back(std::move(value));
-    }
-    {
-      std::lock_guard<std::mutex> lock{mu_};
-      while (!overflow_.empty()) {
-        out.push_back(std::move(overflow_.front()));
-        overflow_.pop_front();
-      }
-    }
-    const std::size_t taken = out.size() - before;
-    if (taken > 0) pending_.fetch_sub(taken, std::memory_order_seq_cst);
-    return taken;
-  }
-
-  /// Records handed off but not yet drained (ring + overflow occupancy,
-  /// counting a push already announced but still being stored).
-  std::size_t pending() const noexcept {
-    return pending_.load(std::memory_order_seq_cst);
-  }
-
-  void set_waiting(bool waiting) noexcept {
-    consumer_waiting_.store(waiting, std::memory_order_seq_cst);
-  }
-
- private:
-  /// Per-worker depth. Journal records are small; 256 in flight per worker
-  /// means the writer is the bottleneck and backpressure is the right
-  /// answer anyway.
-  static constexpr std::size_t kRingCapacity = 256;
-
-  std::vector<std::unique_ptr<runtime::SpscRing<T>>> rings_;
-  std::deque<T> overflow_;  ///< Non-worker producers; guarded by mu_.
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<bool> consumer_waiting_{false};
-  std::mutex& mu_;
-  std::condition_variable& cv_;
+/// One cell's values by repetition index: replayed from the journal before
+/// any task runs, or filled in by the task that measured them. Because
+/// every value lands in its own slot, the assembled result does not depend
+/// on the order tasks finish in.
+struct CellSlots {
+  std::vector<double> values;
+  std::vector<SlotState> state;
+  bool stop_journaled = false;
+  bool converged = false;
+  std::size_t stop_repetitions = 0;
 };
 
 }  // namespace
@@ -267,16 +196,24 @@ CampaignResult run_campaign(std::vector<CampaignCell> cells,
   // Journal: replay the checksummed valid prefix, truncate any torn or
   // corrupt tail, then append new measurements as they finish. All journal
   // I/O goes through the (injectable) vfs so crash torture can interpose.
+  const int cap = options.repetitions_per_cell;
+  std::vector<CellSlots> slots(cells.size());
+  for (auto& slot : slots) {
+    slot.values.assign(static_cast<std::size_t>(cap), 0.0);
+    slot.state.assign(static_cast<std::size_t>(cap), kMissing);
+  }
   io::Vfs& vfs = options.vfs ? *options.vfs : io::real_vfs();
-  const std::string header = journal_header(cells, options, seed);
-  std::map<std::pair<std::size_t, int>, double> done;
-  std::map<std::size_t, int> stops;
   std::unique_ptr<io::WritableFile> journal;
   if (!options.journal_path.empty()) {
-    auto replay = replay_journal(vfs, options.journal_path, header,
-                                 cells.size(), options.repetitions_per_cell);
-    done = std::move(replay.done);
-    stops = std::move(replay.stops);
+    const std::string header = journal_header(cells, options, seed);
+    const auto replay = replay_journal(vfs, options.journal_path, header,
+                                       cells.size(), cap);
+    for (const auto& [key, value] : replay.done) {
+      const auto r = static_cast<std::size_t>(key.second);
+      slots[key.first].values[r] = value;
+      slots[key.first].state[r] = kReplayed;
+    }
+    for (const auto& stop : replay.stops) slots[stop.first].stop_journaled = true;
     if (replay.corrupt_tail) {
       // Keep only the intact record prefix; the measurements the tail held
       // simply re-run. This is the torn-write recovery path.
@@ -286,216 +223,56 @@ CampaignResult run_campaign(std::vector<CampaignCell> cells,
     if (replay.valid_bytes == 0) journal->append(header + "\n");
   }
 
-  // An external pool (cloudrepro suite's shared thread budget) overrides
-  // the `threads` knob; with one the parallel driver runs even at a single
-  // worker, since the caller owns the scheduling decision.
-  const int worker_threads =
-      options.pool ? options.pool->thread_count()
-                   : runtime::ThreadPool::resolve_thread_count(options.threads);
-  const bool parallel_driver = options.pool != nullptr || worker_threads > 1;
-  bool budget_exhausted = false;
-  if (options.adaptive.enabled) {
-    // Adaptive CONFIRM stopping. Each cell's repetitions must run in order
-    // (the stopping rule is evaluated after every measurement, and the next
-    // repetition may never exist), so the unit of parallelism is the cell:
-    // one sequential task per cell, in execution order. The executed set is
-    // a per-cell repetition *prefix* at any interruption point, which is
-    // what keeps resume bit-identical across thread counts — the monitor is
-    // a pure function of the cell's value sequence, so replaying the prefix
-    // re-derives the same stop decision the journal recorded.
-    const int cap = options.repetitions_per_cell;
-    std::atomic<int> budget{options.max_measurements};
-    std::atomic<bool> interrupted{false};
-    const auto claim_budget = [&]() -> bool {
-      if (options.max_measurements <= 0) return true;
-      int cur = budget.load(std::memory_order_relaxed);
-      while (cur > 0) {
-        if (budget.compare_exchange_weak(cur, cur - 1,
-                                         std::memory_order_relaxed)) {
-          return true;
-        }
-      }
-      return false;
-    };
-
-    // Runs one cell to its stop point (convergence, cap, budget, or
-    // cancellation), appending each record via `emit` — the journal seam
-    // that differs between the serial and parallel drivers. Returns the
-    // number of measurements replayed from the journal.
-    const auto run_cell = [&](std::size_t idx,
-                              const std::function<void(std::string)>& emit)
-        -> std::size_t {
-      ConfirmMonitor monitor{options.adaptive};
-      auto& out = result.cells[idx];
-      out.values.reserve(static_cast<std::size_t>(cap));
-      std::size_t resumed = 0;
-      const bool stop_journaled = stops.find(idx) != stops.end();
-      for (int r = 0; r < cap; ++r) {
-        double value = 0.0;
-        bool from_journal = false;
-        if (const auto it = done.find({idx, r}); it != done.end()) {
-          value = it->second;
-          from_journal = true;
-        } else {
-          if (!claim_budget() || cancelled(options)) {
-            interrupted.store(true, std::memory_order_relaxed);
-            break;
-          }
-          CLOUDREPRO_OBS_STMT(const double m_start = wall_s();)
-          cells[idx].fresh();
-          stats::Rng rep_rng{campaign_repetition_seed(seed, idx, r)};
-          value = cells[idx].run_once(rep_rng);
-          CLOUDREPRO_OBS_STMT(
-              const double m_dur = wall_s() - m_start;
-              if (h_cell_wall) h_cell_wall->observe(m_dur);
-              if (c_executed) c_executed->add();
-              if (tracer) {
-                tracer->complete(m_start, m_dur, "campaign", "measurement",
-                                 {"cell", static_cast<double>(idx)},
-                                 {"rep", static_cast<double>(r)},
-                                 static_cast<std::uint32_t>(idx), 0);
-              })
-        }
-        out.values.push_back(value);
-        if (from_journal) {
-          ++resumed;
-        } else {
-          emit(journal_line({idx, r, value}));
-        }
-        if (monitor.add(value)) {
-          // Re-emitting after a torn tail heals a lost stop record; when the
-          // record already replayed, the decision is simply re-derived.
-          if (!stop_journaled) {
-            emit(journal_line(journal_stop_record(
-                idx, static_cast<int>(monitor.stop_repetitions()))));
-          }
-          break;
-        }
-      }
-      out.adaptive_converged = monitor.converged();
-      out.stop_repetitions = monitor.stop_repetitions();
-      return resumed;
-    };
-
-    if (!parallel_driver) {
-      for (const auto idx : result.execution_order) {
-        result.resumed_measurements += run_cell(idx, [&](std::string line) {
-          if (journal) journal->append(line + "\n");
-        });
-        if (interrupted.load(std::memory_order_relaxed)) break;
-      }
-    } else {
-      // Cell tasks hand finished journal lines to this (coordinating)
-      // thread through per-worker SPSC rings; this thread is the single
-      // journal writer. A worker's terminal act is finished++/notify *under
-      // the mutex*, so once the writer observes finished == total while
-      // holding it, no worker can still touch this frame — which is what
-      // lets an external (suite-shared) pool outlive the campaign without a
-      // wait_idle() that would block on other campaigns' tasks.
-      std::mutex mu;
-      std::condition_variable cv;
-      std::atomic<std::size_t> finished{0};  // Cell tasks done.
-      std::size_t resumed_total = 0;         // Guarded by mu.
-      std::exception_ptr error;              // Guarded by mu.
-      JournalHandoff<std::string> handoff{worker_threads, mu, cv};
-
-      std::unique_ptr<runtime::ThreadPool> owned_pool;
-      runtime::ThreadPool* pool = options.pool;
-      if (!pool) {
-        owned_pool = std::make_unique<runtime::ThreadPool>(worker_threads);
-        pool = owned_pool.get();
-      }
-
-      const std::size_t total = result.execution_order.size();
-      for (const auto idx : result.execution_order) {
-        pool->submit([&, idx, pool] {
-          try {
-            const std::size_t resumed =
-                run_cell(idx, [&, pool](std::string line) {
-                  handoff.push(pool->current_worker_index(), std::move(line));
-                });
-            std::lock_guard<std::mutex> lock{mu};
-            resumed_total += resumed;
-            finished.fetch_add(1, std::memory_order_seq_cst);
-            cv.notify_one();
-          } catch (...) {
-            std::lock_guard<std::mutex> lock{mu};
-            if (!error) error = std::current_exception();
-            finished.fetch_add(1, std::memory_order_seq_cst);
-            cv.notify_one();
-          }
-        });
-      }
-
-      std::exception_ptr writer_error;
-      std::vector<std::string> drained;
-      for (;;) {
-        drained.clear();
-        if (handoff.drain(drained) > 0) {
-          CLOUDREPRO_OBS_STMT(
-              if (h_queue_depth) {
-                h_queue_depth->observe(
-                    static_cast<double>(handoff.pending() + drained.size()));
-              })
-          for (auto& line : drained) {
-            if (journal && !writer_error) {
-              // A failed append must not abandon in-flight tasks (they
-              // reference this frame); keep consuming and surface the
-              // error after every task lands.
-              try {
-                journal->append(line + "\n");
-              } catch (...) {
-                writer_error = std::current_exception();
-              }
-            }
-          }
-          continue;
-        }
-        std::unique_lock<std::mutex> lock{mu};
-        if (finished.load(std::memory_order_seq_cst) == total &&
-            handoff.pending() == 0) {
-          break;
-        }
-        handoff.set_waiting(true);
-        cv.wait(lock, [&] {
-          return handoff.pending() > 0 ||
-                 finished.load(std::memory_order_seq_cst) == total;
-        });
-        handoff.set_waiting(false);
-      }
-      std::exception_ptr first_error;
-      {
-        std::lock_guard<std::mutex> lock{mu};
-        result.resumed_measurements += resumed_total;
-        first_error = error;
-      }
-      if (first_error) std::rethrow_exception(first_error);
-      if (writer_error) std::rethrow_exception(writer_error);
+  // The work list, in execution order. Adaptive cells run whole: their
+  // repetitions must go in order, so the executed set is a per-cell prefix
+  // at any interruption point and the ConfirmMonitor, a pure function of
+  // the cell's value sequence, re-derives the journaled stop on resume.
+  // Otherwise every pending repetition is its own task, and the list is cut
+  // to `max_measurements`, so the executed set is the same at any thread
+  // count; each task derives its own repetition seed, so every value is too.
+  std::vector<CampaignTask> tasks;
+  for (const auto idx : result.execution_order) {
+    if (options.adaptive.enabled) {
+      tasks.push_back({idx, 0, cap});
+      continue;
     }
-    budget_exhausted = interrupted.load(std::memory_order_relaxed);
-  } else if (!parallel_driver) {
-    // Serial reference path: executes pending measurements in execution
-    // order, interleaving journal replays in place.
-    int executed = 0;
-    for (const auto idx : result.execution_order) {
-      auto& out = result.cells[idx];
-      out.values.reserve(static_cast<std::size_t>(options.repetitions_per_cell));
-      for (int r = 0; r < options.repetitions_per_cell; ++r) {
-        if (const auto it = done.find({idx, r}); it != done.end()) {
-          out.values.push_back(it->second);
-          ++result.resumed_measurements;
-          continue;
-        }
-        if ((options.max_measurements > 0 &&
-             executed >= options.max_measurements) ||
-            cancelled(options)) {
-          budget_exhausted = true;
-          break;
+    for (int r = 0; r < cap; ++r) {
+      if (slots[idx].state[static_cast<std::size_t>(r)] == kMissing) {
+        tasks.push_back({idx, r, 1});
+      }
+    }
+  }
+  if (!options.adaptive.enabled && options.max_measurements > 0 &&
+      tasks.size() > static_cast<std::size_t>(options.max_measurements)) {
+    tasks.resize(static_cast<std::size_t>(options.max_measurements));
+  }
+
+  // Adaptive cells claim the measurement budget one repetition at a time.
+  const bool metered = options.adaptive.enabled && options.max_measurements > 0;
+  std::atomic<int> budget{options.max_measurements};
+  // Set by a failed task or journal append: no new measurement starts.
+  std::atomic<bool> failed{false};
+
+  // Runs one task, handing each journal record to `emit` as soon as it
+  // exists. Returns false when cancellation, a failure or the budget cut
+  // the task short.
+  const auto run_task = [&](const CampaignTask& task, const auto& emit) {
+    const std::size_t idx = task.cell;
+    CellSlots& slot = slots[idx];
+    std::optional<ConfirmMonitor> monitor;
+    if (options.adaptive.enabled) monitor.emplace(options.adaptive);
+    for (int r = task.first; r < task.first + task.count; ++r) {
+      const auto rep = static_cast<std::size_t>(r);
+      if (slot.state[rep] == kMissing) {
+        if (cancelled(options) || failed.load(std::memory_order_relaxed) ||
+            (metered && budget.fetch_sub(1, std::memory_order_relaxed) <= 0)) {
+          return false;
         }
         CLOUDREPRO_OBS_STMT(const double m_start = wall_s();)
         cells[idx].fresh();
         stats::Rng rep_rng{campaign_repetition_seed(seed, idx, r)};
-        const double value = cells[idx].run_once(rep_rng);
+        slot.values[rep] = cells[idx].run_once(rep_rng);
+        slot.state[rep] = kMeasured;
         CLOUDREPRO_OBS_STMT(
             const double m_dur = wall_s() - m_start;
             if (h_cell_wall) h_cell_wall->observe(m_dur);
@@ -506,172 +283,127 @@ CampaignResult run_campaign(std::vector<CampaignCell> cells,
                                {"rep", static_cast<double>(r)},
                                static_cast<std::uint32_t>(idx), 0);
             })
-        out.values.push_back(value);
-        ++executed;
-        if (journal) journal->append(journal_line({idx, r, value}) + "\n");
+        emit(journal_line({idx, r, slot.values[rep]}));
       }
-      if (budget_exhausted) break;
-    }
-  } else {
-    // Parallel path. The pending task list is built in serial execution
-    // order and truncated to `max_measurements`, so the *set* of executed
-    // measurements matches the serial path exactly; each task derives its
-    // own repetition seed, so every value matches too. Workers hand
-    // completed values to this (coordinating) thread, which is the single
-    // journal writer, appending entries in completion order.
-    struct PendingTask {
-      std::size_t cell = 0;
-      int rep = 0;
-    };
-    std::vector<PendingTask> pending;
-    for (const auto idx : result.execution_order) {
-      for (int r = 0; r < options.repetitions_per_cell; ++r) {
-        if (done.find({idx, r}) == done.end()) pending.push_back({idx, r});
-      }
-    }
-    if (options.max_measurements > 0 &&
-        pending.size() > static_cast<std::size_t>(options.max_measurements)) {
-      pending.resize(static_cast<std::size_t>(options.max_measurements));
-      budget_exhausted = true;
-    }
-
-    std::vector<double> task_values(pending.size());
-    std::vector<char> task_ran(pending.size(), 0);
-    if (!pending.empty()) {
-      // Workers hand completed task indices to this (coordinating) thread
-      // through per-worker SPSC rings; this thread is the single journal
-      // writer, appending records in drain order. `task_values[t]` is
-      // written before the ring push and read after the pop, so the ring's
-      // release/acquire pair publishes it — no lock on the value path. As
-      // in the adaptive driver, a worker's terminal act is finished++/
-      // notify under the mutex, so observing finished == total while
-      // holding it proves no worker still references this frame (external
-      // pools are never wait_idle()d).
-      std::mutex mu;
-      std::condition_variable cv;
-      std::atomic<std::size_t> finished{0};  // Tasks done, success or failure.
-      std::exception_ptr error;              // Guarded by mu.
-      JournalHandoff<std::size_t> handoff{worker_threads, mu, cv};
-
-      std::unique_ptr<runtime::ThreadPool> owned_pool;
-      runtime::ThreadPool* pool = options.pool;
-      if (!pool) {
-        owned_pool = std::make_unique<runtime::ThreadPool>(worker_threads);
-        pool = owned_pool.get();
-      }
-
-      const std::size_t total = pending.size();
-      for (std::size_t t = 0; t < pending.size(); ++t) {
-        pool->submit([&, t, pool] {
-          // Cooperative cancellation: once the flag is set, queued tasks
-          // drain without running. In-flight measurements finish and
-          // journal normally; resume picks up whatever subset completed.
-          if (!cancelled(options)) {
-            try {
-              const auto [idx, r] = pending[t];
-              CLOUDREPRO_OBS_STMT(const double m_start = wall_s();)
-              cells[idx].fresh();
-              stats::Rng rep_rng{campaign_repetition_seed(seed, idx, r)};
-              const double value = cells[idx].run_once(rep_rng);
-              CLOUDREPRO_OBS_STMT(
-                  const double m_dur = wall_s() - m_start;
-                  if (h_cell_wall) h_cell_wall->observe(m_dur);
-                  if (c_executed) c_executed->add();
-                  if (tracer) {
-                    tracer->complete(m_start, m_dur, "campaign", "measurement",
-                                     {"cell", static_cast<double>(idx)},
-                                     {"rep", static_cast<double>(r)},
-                                     static_cast<std::uint32_t>(idx), 0);
-                  })
-              task_values[t] = value;
-              task_ran[t] = 1;
-              handoff.push(pool->current_worker_index(), t);
-            } catch (...) {
-              std::lock_guard<std::mutex> lock{mu};
-              if (!error) error = std::current_exception();
-            }
-          }
-          std::lock_guard<std::mutex> lock{mu};
-          finished.fetch_add(1, std::memory_order_seq_cst);
-          cv.notify_one();
-        });
-      }
-
-      std::exception_ptr writer_error;
-      std::vector<std::size_t> drained;
-      for (;;) {
-        drained.clear();
-        if (handoff.drain(drained) > 0) {
-          // Ring occupancy at this drain: how far the workers have run
-          // ahead of the single journal writer.
-          CLOUDREPRO_OBS_STMT(
-              if (h_queue_depth) {
-                h_queue_depth->observe(
-                    static_cast<double>(handoff.pending() + drained.size()));
-              })
-          for (const std::size_t t : drained) {
-            if (journal && !writer_error) {
-              const PendingTask task = pending[t];
-              try {
-                journal->append(
-                    journal_line({task.cell, task.rep, task_values[t]}) + "\n");
-              } catch (...) {
-                writer_error = std::current_exception();
-              }
-            }
-          }
-          continue;
+      if (monitor && monitor->add(slot.values[rep])) {
+        slot.converged = true;
+        slot.stop_repetitions = monitor->stop_repetitions();
+        // Re-emitting after a torn tail heals a lost stop record; when the
+        // record already replayed, the decision is simply re-derived.
+        if (!slot.stop_journaled) {
+          emit(journal_line(journal_stop_record(
+              idx, static_cast<int>(slot.stop_repetitions))));
         }
-        std::unique_lock<std::mutex> lock{mu};
-        if (finished.load(std::memory_order_seq_cst) == total &&
-            handoff.pending() == 0) {
-          break;
-        }
-        handoff.set_waiting(true);
-        cv.wait(lock, [&] {
-          return handoff.pending() > 0 ||
-                 finished.load(std::memory_order_seq_cst) == total;
-        });
-        handoff.set_waiting(false);
-      }
-      std::exception_ptr first_error;
-      {
-        std::lock_guard<std::mutex> lock{mu};
-        first_error = error;
-      }
-      if (first_error) std::rethrow_exception(first_error);
-      if (writer_error) std::rethrow_exception(writer_error);
-    }
-
-    // Assemble in grid order from journal replays and freshly executed
-    // slots, reproducing the serial path's budget-cutoff semantics: the
-    // first measurement that is neither replayed nor executed marks the
-    // interruption point.
-    std::map<std::pair<std::size_t, int>, double> fresh_values;
-    for (std::size_t t = 0; t < pending.size(); ++t) {
-      if (task_ran[t]) {
-        fresh_values[{pending[t].cell, pending[t].rep}] = task_values[t];
-      }
-    }
-    bool cut = false;
-    for (const auto idx : result.execution_order) {
-      auto& out = result.cells[idx];
-      out.values.reserve(static_cast<std::size_t>(options.repetitions_per_cell));
-      for (int r = 0; r < options.repetitions_per_cell; ++r) {
-        if (const auto it = done.find({idx, r}); it != done.end()) {
-          out.values.push_back(it->second);
-          ++result.resumed_measurements;
-          continue;
-        }
-        if (const auto it = fresh_values.find({idx, r}); it != fresh_values.end()) {
-          out.values.push_back(it->second);
-          continue;
-        }
-        cut = true;
         break;
       }
-      if (cut) break;
     }
+    return true;
+  };
+
+  // An external pool (cloudrepro suite's shared thread budget) overrides
+  // the `threads` knob; with one the tasks go to the pool even at a single
+  // worker, since the caller owns the scheduling decision.
+  if (!options.pool &&
+      runtime::ThreadPool::resolve_thread_count(options.threads) <= 1) {
+    // Serial reference: the tasks run inline in execution order, each
+    // record appended as its measurement finishes, up to the first task
+    // that could not finish.
+    const auto append = [&](const std::string& line) {
+      if (journal) journal->append(line + "\n");
+    };
+    for (const auto& task : tasks) {
+      if (!run_task(task, append)) break;
+    }
+  } else if (!tasks.empty()) {
+    // Workers push finished records onto `records`; this thread, the single
+    // journal writer and the only one touching the vfs, swaps the batch out
+    // and appends it. A task's terminal act is finished++/notify *under the
+    // mutex*, so once this thread observes finished == tasks.size() while
+    // holding it, no worker can still touch this frame — which is what lets
+    // an external (suite-shared) pool outlive the campaign without a
+    // wait_idle() that would block on other campaigns' tasks.
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<std::string> records;  // Guarded by mu.
+    std::size_t finished = 0;          // Guarded by mu.
+    std::exception_ptr error;          // Guarded by mu: the first task failure.
+    const auto push_record = [&](std::string line) {
+      std::lock_guard<std::mutex> lock{mu};
+      records.push_back(std::move(line));
+      cv.notify_one();
+    };
+
+    std::unique_ptr<runtime::ThreadPool> owned_pool;
+    runtime::ThreadPool* pool = options.pool;
+    if (!pool) {
+      owned_pool = std::make_unique<runtime::ThreadPool>(options.threads);
+      pool = owned_pool.get();
+    }
+    for (const auto& task : tasks) {
+      pool->submit([&, task] {
+        std::exception_ptr task_error;
+        try {
+          run_task(task, push_record);
+        } catch (...) {
+          task_error = std::current_exception();
+          failed.store(true, std::memory_order_relaxed);
+        }
+        std::lock_guard<std::mutex> lock{mu};
+        if (task_error && !error) error = task_error;
+        ++finished;
+        cv.notify_one();
+      });
+    }
+
+    // A failed append must not abandon in-flight tasks (they reference this
+    // frame): stop new measurements, keep draining, and surface the error
+    // only after every task has landed.
+    std::exception_ptr writer_error;
+    std::vector<std::string> batch;
+    for (bool landed = false; !landed;) {
+      {
+        std::unique_lock<std::mutex> lock{mu};
+        cv.wait(lock, [&] { return !records.empty() || finished == tasks.size(); });
+        batch.swap(records);
+        landed = finished == tasks.size();
+      }
+      // Backlog at this swap: how far the workers ran ahead of the writer.
+      CLOUDREPRO_OBS_STMT(
+          if (h_queue_depth && !batch.empty()) {
+            h_queue_depth->observe(static_cast<double>(batch.size()));
+          })
+      for (const auto& line : batch) {
+        if (!journal || writer_error) break;
+        try {
+          journal->append(line + "\n");
+        } catch (...) {
+          writer_error = std::current_exception();
+          failed.store(true, std::memory_order_relaxed);
+        }
+      }
+      batch.clear();
+    }
+    if (error) std::rethrow_exception(error);
+    if (writer_error) std::rethrow_exception(writer_error);
+  }
+
+  // Assemble in execution order up to the first repetition no task
+  // finished — the serial rule, so an interrupted campaign reports the same
+  // values at any thread count. A converged adaptive cell ends at its stop
+  // point: its remaining repetitions were never due.
+  for (const auto idx : result.execution_order) {
+    const CellSlots& slot = slots[idx];
+    auto& out = result.cells[idx];
+    out.adaptive_converged = slot.converged;
+    out.stop_repetitions = slot.stop_repetitions;
+    const std::size_t end =
+        slot.converged ? slot.stop_repetitions : static_cast<std::size_t>(cap);
+    std::size_t r = 0;
+    for (; r < end && slot.state[r] != kMissing; ++r) {
+      out.values.push_back(slot.values[r]);
+      if (slot.state[r] == kReplayed) ++result.resumed_measurements;
+    }
+    if (r < end) break;
   }
 
   if (journal) {

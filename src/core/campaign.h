@@ -92,12 +92,11 @@ struct CampaignOptions {
   /// External worker pool: when set, (cell, repetition) tasks are submitted
   /// to this pool instead of a campaign-private one and `threads` is
   /// ignored. This is how `cloudrepro suite` runs several campaigns against
-  /// one shared thread budget — the pool's work-stealing deques heal the
-  /// imbalance when one member's cells finish early. The campaign never
-  /// calls `wait_idle` on an external pool (other campaigns' tasks may be in
-  /// flight); it tracks its own completion counts. Like `threads`, the pool
-  /// is not part of the journal header: scheduling never changes what a
-  /// campaign computes.
+  /// one shared thread budget — any idle worker takes the next queued task
+  /// of any member. The campaign never calls `wait_idle` on an external
+  /// pool (other campaigns' tasks may be in flight); it tracks its own
+  /// completion count. Like `threads`, the pool is not part of the journal
+  /// header: scheduling never changes what a campaign computes.
   runtime::ThreadPool* pool = nullptr;
 
   /// Adaptive CONFIRM stopping: when enabled, each cell runs until its
@@ -144,11 +143,10 @@ struct CampaignOptions {
   /// campaign creates (and owns) its own. Campaign instrumentation records
   /// per-measurement wall-time spans (lane = cell index, track 0), a
   /// `campaign.cell_wall_s` histogram, the journal-writer backlog as
-  /// `campaign.journal_queue_depth` (the combined occupancy of the
-  /// per-worker SPSC handoff rings, sampled each time the writer wakes —
-  /// the key predates the ring handoff and is kept for dashboard
-  /// continuity), and `campaign.measurements_executed` /
-  /// `campaign.measurements_resumed` counters. Ignored when CLOUDREPRO_OBS compiles instrumentation out.
+  /// `campaign.journal_queue_depth` (with threads > 1 or a pool: the records
+  /// waiting each time the writer takes a batch), and
+  /// `campaign.measurements_executed` / `campaign.measurements_resumed`
+  /// counters. Ignored when CLOUDREPRO_OBS compiles instrumentation out.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 };

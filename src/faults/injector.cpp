@@ -1,6 +1,7 @@
 #include "faults/injector.h"
 
 #include <cstdint>
+#include <limits>
 
 #include "obs/obs.h"
 #include "obs/trace.h"
@@ -12,11 +13,13 @@ FaultInjector::FaultInjector(const FaultPlan& plan) {
 }
 
 double FaultInjector::next_time() const noexcept {
-  return queue_.next_time();
+  return queue_.empty() ? std::numeric_limits<double>::infinity()
+                        : queue_.top().event.at_s;
 }
 
 FaultEvent FaultInjector::pop() {
-  const FaultEvent event = queue_.pop();
+  const FaultEvent event = queue_.top().event;
+  queue_.pop();
   CLOUDREPRO_OBS_STMT(
       if (tracer_) {
         tracer_->instant(event.at_s, "faults", to_string(event.kind),
@@ -28,7 +31,7 @@ FaultEvent FaultInjector::pop() {
 }
 
 void FaultInjector::schedule(FaultEvent event) {
-  queue_.push(event.at_s, event);
+  queue_.push({event, next_seq_++});
 }
 
 }  // namespace cloudrepro::faults

@@ -1,10 +1,11 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
+#include <cstdint>
+#include <queue>
+#include <vector>
 
 #include "faults/fault_plan.h"
-#include "runtime/calendar_queue.h"
 
 namespace cloudrepro::obs {
 class Tracer;
@@ -18,10 +19,9 @@ namespace cloudrepro::faults {
 ///
 /// The injector is the one place that decides *when* the next fault fires;
 /// the consumer (the engine) decides *what* it does to the cluster. Events
-/// due at the same instant pop in scheduling order — the calendar queue
-/// tie-breaks on its internal push sequence — so replay is deterministic:
-/// the pop order is a pure function of the schedule order, exactly as with
-/// the explicit (at_s, seq) heap this replaced.
+/// due at the same instant pop in scheduling order — the heap is keyed by
+/// (at_s, schedule sequence) — so replay is deterministic: the pop order is
+/// a pure function of the schedule order.
 class FaultInjector {
  public:
   FaultInjector() = default;
@@ -51,9 +51,20 @@ class FaultInjector {
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
  private:
-  /// Fault plans tick on the hours-scale horizon; seconds-wide buckets are
-  /// a reasonable seed and the calendar re-tunes itself on growth.
-  runtime::CalendarQueue<FaultEvent> queue_{60.0};
+  struct Scheduled {
+    FaultEvent event;
+    std::uint64_t seq = 0;  ///< Schedule order: the tie-break.
+  };
+  /// Orders the heap so its top is the earliest (at_s, seq).
+  struct Later {
+    bool operator()(const Scheduled& a, const Scheduled& b) const noexcept {
+      if (a.event.at_s != b.event.at_s) return a.event.at_s > b.event.at_s;
+      return a.seq > b.seq;
+    }
+  };
+
+  std::priority_queue<Scheduled, std::vector<Scheduled>, Later> queue_;
+  std::uint64_t next_seq_ = 0;
   obs::Tracer* tracer_ = nullptr;
 };
 

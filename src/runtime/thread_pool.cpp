@@ -8,97 +8,16 @@
 
 namespace cloudrepro::runtime {
 
-namespace {
-
-/// Identifies the calling thread's pool membership. One pair suffices even
-/// with nested pools in flight (campaigns never nest workers), and lookups
-/// compare the pool pointer so foreign pools read -1.
-thread_local const ThreadPool* tl_pool = nullptr;
-thread_local int tl_worker_index = -1;
-
-/// Injection-batch size: how many queued tasks a worker moves onto its own
-/// deque per lock acquisition. Amortizes the injection lock across the
-/// lock-free deque pops that follow (and feeds the thieves).
-constexpr std::size_t kInjectBatch = 16;
-
-constexpr std::size_t kDequeCapacity = 1024;
-
-}  // namespace
-
-// --- Chase–Lev deque -------------------------------------------------------
-
-ThreadPool::Deque::Deque(std::size_t capacity) {
-  std::size_t cap = 2;
-  while (cap < capacity) cap <<= 1;
-  slots_ = std::vector<std::atomic<Task*>>(cap);
-  mask_ = cap - 1;
-}
-
-bool ThreadPool::Deque::push_bottom(Task* task) noexcept {
-  const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-  const std::int64_t t = top_.load(std::memory_order_acquire);
-  if (b - t >= static_cast<std::int64_t>(slots_.size())) return false;
-  slots_[static_cast<std::size_t>(b) & mask_].store(task,
-                                                    std::memory_order_relaxed);
-  // Release on bottom publishes the slot store to thieves' acquire loads.
-  bottom_.store(b + 1, std::memory_order_release);
-  return true;
-}
-
-ThreadPool::Task* ThreadPool::Deque::pop_bottom() noexcept {
-  const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-  // seq_cst store/load pair: the owner's bottom decrement must be ordered
-  // against its top read (Dekker with concurrent thieves).
-  bottom_.store(b, std::memory_order_seq_cst);
-  std::int64_t t = top_.load(std::memory_order_seq_cst);
-  if (t > b) {
-    // Empty: undo.
-    bottom_.store(b + 1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  Task* task = slots_[static_cast<std::size_t>(b) & mask_].load(
-      std::memory_order_relaxed);
-  if (t == b) {
-    // Last element: race the thieves for it.
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed)) {
-      task = nullptr;  // A thief won.
-    }
-    bottom_.store(b + 1, std::memory_order_relaxed);
-  }
-  return task;
-}
-
-ThreadPool::Task* ThreadPool::Deque::steal_top() noexcept {
-  std::int64_t t = top_.load(std::memory_order_seq_cst);
-  const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-  if (t >= b) return nullptr;
-  Task* task =
-      slots_[static_cast<std::size_t>(t) & mask_].load(std::memory_order_relaxed);
-  if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                    std::memory_order_relaxed)) {
-    return nullptr;  // Lost to the owner or another thief; caller retries.
-  }
-  return task;
-}
-
-// --- Pool ------------------------------------------------------------------
-
 int ThreadPool::resolve_thread_count(int requested) noexcept {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool::ThreadPool(int threads) {
-  const int n = resolve_thread_count(threads);
-  deques_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    deques_.push_back(std::make_unique<Deque>(kDequeCapacity));
-  }
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+ThreadPool::ThreadPool(int threads) : thread_count_{resolve_thread_count(threads)} {
+  workers_.reserve(static_cast<std::size_t>(thread_count_));
+  for (int i = 0; i < thread_count_; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -111,126 +30,38 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-int ThreadPool::current_worker_index() const noexcept {
-  return tl_pool == this ? tl_worker_index : -1;
-}
-
 void ThreadPool::submit(std::function<void()> task) {
   if (!task) throw std::invalid_argument{"ThreadPool::submit: null task"};
-  auto owned = std::make_unique<Task>(std::move(task));
-  // unfinished before unstarted: a worker that picks the task up instantly
-  // must not let wait_idle observe unfinished == 0 mid-flight.
-  unfinished_.fetch_add(1, std::memory_order_seq_cst);
-  unstarted_.fetch_add(1, std::memory_order_seq_cst);
-  enqueue(owned.release());
-}
-
-void ThreadPool::enqueue(Task* task) {
-  if (current_worker_index() >= 0) {
-    // Worker fast path: own deque, no lock. Fall through to the injection
-    // queue only when the deque is full.
-    if (deques_[static_cast<std::size_t>(tl_worker_index)]->push_bottom(task)) {
-      notify_if_sleepers();
-      return;
-    }
-  }
   {
     std::lock_guard<std::mutex> lock{mu_};
-    if (stopping_) {
-      unstarted_.fetch_sub(1, std::memory_order_relaxed);
-      unfinished_.fetch_sub(1, std::memory_order_relaxed);
-      delete task;
-      throw std::runtime_error{"ThreadPool::submit: pool is shutting down"};
-    }
-    inject_.push_back(task);
+    queue_.push_back(std::move(task));
   }
   work_cv_.notify_one();
 }
 
-void ThreadPool::notify_if_sleepers() {
-  // Dekker pair with the sleep path: the submitter stored unstarted_
-  // (seq_cst) before this load; the sleeper increments sleepers_ (seq_cst,
-  // under mu_) before re-checking unstarted_. Whichever ran second sees the
-  // other, so a pushed task is never stranded with every worker asleep.
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard<std::mutex> lock{mu_};
-    work_cv_.notify_one();
-  }
-}
-
-ThreadPool::Task* ThreadPool::try_acquire(int self) {
-  auto& own = *deques_[static_cast<std::size_t>(self)];
-  if (Task* task = own.pop_bottom()) return task;
-
-  // Injection queue: take one to run, move a batch onto our deque so the
-  // next pops (and any thieves) skip the lock.
-  {
-    std::lock_guard<std::mutex> lock{mu_};
-    if (!inject_.empty()) {
-      Task* first = inject_.front();
-      inject_.pop_front();
-      std::size_t moved = 0;
-      while (!inject_.empty() && moved < kInjectBatch) {
-        if (!own.push_bottom(inject_.front())) break;
-        inject_.pop_front();
-        ++moved;
-      }
-      return first;
-    }
-  }
-
-  // Steal: round-robin starting after ourselves, so victims differ across
-  // thieves.
-  const int n = thread_count();
-  for (int k = 1; k < n; ++k) {
-    const int victim = (self + k) % n;
-    if (Task* task = deques_[static_cast<std::size_t>(victim)]->steal_top()) {
-      return task;
-    }
-  }
-  return nullptr;
-}
-
-void ThreadPool::run_task(Task* task) noexcept {
-  unstarted_.fetch_sub(1, std::memory_order_seq_cst);
-  (*task)();
-  delete task;
-  if (unfinished_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-    // Count hit zero: wake wait_idle and, during shutdown, the workers
-    // waiting to exit. Lock-then-notify so a waiter between its predicate
-    // check and its wait cannot miss this.
-    std::lock_guard<std::mutex> lock{mu_};
-    idle_cv_.notify_all();
-    work_cv_.notify_all();
-  }
-}
-
-void ThreadPool::worker_loop(int self) {
-  tl_pool = this;
-  tl_worker_index = self;
+void ThreadPool::worker_loop() {
   for (;;) {
-    if (Task* task = try_acquire(self)) {
-      run_task(task);
-      continue;
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock{mu_};
+      work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      // Stopping with work still queued keeps draining: tasks submitted
+      // before destruction (or by a running task) still run.
+      if (queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
+      ++running_;
     }
-    std::unique_lock<std::mutex> lock{mu_};
-    if (stopping_ && unfinished_.load(std::memory_order_seq_cst) == 0) return;
-    if (unstarted_.load(std::memory_order_seq_cst) > 0) continue;  // Retry.
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    work_cv_.wait(lock, [this] {
-      return unstarted_.load(std::memory_order_seq_cst) > 0 ||
-             (stopping_ && unfinished_.load(std::memory_order_seq_cst) == 0);
-    });
-    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    if (stopping_ && unfinished_.load(std::memory_order_seq_cst) == 0) return;
+    task();
+    task = nullptr;  // Release the captures before reporting idle.
+    std::lock_guard<std::mutex> lock{mu_};
+    if (--running_ == 0 && queue_.empty()) idle_cv_.notify_all();
   }
 }
 
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lock{mu_};
-  idle_cv_.wait(lock, [this] {
-    return unfinished_.load(std::memory_order_seq_cst) == 0;
-  });
+  idle_cv_.wait(lock, [this] { return running_ == 0 && queue_.empty(); });
 }
 
 // --- parallel_for_each -----------------------------------------------------

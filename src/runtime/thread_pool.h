@@ -1,12 +1,9 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -23,21 +20,14 @@ namespace cloudrepro::runtime {
 /// dynamically, results land in pre-assigned slots, and reductions happen in
 /// a fixed order on the coordinating thread.
 
-/// Fixed-size worker pool with per-worker work-stealing deques.
+/// Fixed-size worker pool over one mutex-guarded FIFO queue.
 ///
-/// Each worker owns a Chase–Lev deque: the owner pushes and pops at the
-/// bottom lock-free, idle workers steal from the top with a single CAS.
-/// External submissions land in a mutex-guarded injection queue from which
-/// workers pull *batches* into their own deque, so the per-task cost on the
-/// execution side is the lock-free deque, not the lock — and once tasks are
-/// distributed, imbalance (one scenario's cells finishing early while
-/// another's drag) is healed by stealing instead of idling. This is what
-/// lets several concurrent campaigns share one pool as a single thread
-/// budget (`cloudrepro suite`).
-///
-/// Task execution order is unspecified (own-deque LIFO, steals FIFO);
-/// callers that need determinism write results into pre-assigned slots,
-/// exactly as with the old FIFO queue.
+/// Every worker takes the oldest queued task, so several concurrent
+/// campaigns can share one pool as a single thread budget
+/// (`cloudrepro suite`): a worker that finishes one member's task simply
+/// takes the next task of whichever member queued it. Tasks may submit
+/// further tasks. Completion order is unspecified; callers that need
+/// determinism write results into pre-assigned slots.
 ///
 /// Tasks must not let exceptions escape (an escaping exception terminates
 /// the process, as with any detached thread); callers that need error
@@ -48,86 +38,41 @@ class ThreadPool {
   /// Spawns `resolve_thread_count(threads)` workers.
   explicit ThreadPool(int threads = 0);
 
-  /// Drains nothing: joins after the queues empty naturally or stop is
-  /// observed; pending tasks submitted before destruction still run.
+  /// Runs every task still queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Sized off deques_, not workers_: the deque table is complete before
-  /// the first worker thread starts, while workers_ is still growing as
-  /// early workers begin stealing (reading workers_.size() there is a data
-  /// race with the constructor's emplace_back).
-  int thread_count() const noexcept { return static_cast<int>(deques_.size()); }
+  /// Fixed before the first worker starts: reading workers_.size() here
+  /// would race with the constructor's emplace_back while early workers
+  /// already run tasks that ask for the pool's size.
+  int thread_count() const noexcept { return thread_count_; }
 
-  /// Enqueues a task for execution by some worker. From a worker thread of
-  /// this pool the task goes straight onto that worker's own deque
-  /// (lock-free); from any other thread it goes through the injection
-  /// queue.
+  /// Enqueues a task for execution by some worker.
   void submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished executing.
+  /// Blocks until every submitted task has finished executing. Only the
+  /// pool's owner may call this: on a pool shared by several campaigns it
+  /// would also wait for the other campaigns' tasks.
   void wait_idle();
 
   /// Maps the user-facing `threads` knob: 0 = hardware concurrency
   /// (at least 1), otherwise the requested count.
   static int resolve_thread_count(int requested) noexcept;
 
-  /// Index of the calling thread within this pool: [0, thread_count()) for
-  /// this pool's workers, -1 for every other thread. Stable for the life of
-  /// the pool, which is what lets per-worker SPSC structures (the campaign
-  /// journal rings) key on it.
-  int current_worker_index() const noexcept;
-
  private:
-  using Task = std::function<void()>;
+  void worker_loop();
 
-  /// Chase–Lev work-stealing deque over heap-allocated task pointers.
-  /// Fixed capacity: `push_bottom` reports false when full and the caller
-  /// leaves the task in the injection queue instead (no dynamic growth, so
-  /// no reclamation problem). Orderings follow Le et al., "Correct and
-  /// Efficient Work-Stealing for Weak Memory Models", with the standalone
-  /// fences strengthened to seq_cst operations on `top_`/`bottom_` — TSan
-  /// does not model fences, and these paths are under TSan in CI.
-  class Deque {
-   public:
-    explicit Deque(std::size_t capacity);
-
-    bool push_bottom(Task* task) noexcept;  ///< Owner only.
-    Task* pop_bottom() noexcept;            ///< Owner only.
-    Task* steal_top() noexcept;             ///< Any thief.
-
-   private:
-    std::vector<std::atomic<Task*>> slots_;
-    std::size_t mask_;
-    alignas(64) std::atomic<std::int64_t> top_{0};
-    alignas(64) std::atomic<std::int64_t> bottom_{0};
-  };
-
-  void worker_loop(int self);
-  /// Own deque, then an injection-queue batch, then stealing round-robin
-  /// from the other workers. Null when nothing is currently available.
-  Task* try_acquire(int self);
-  void enqueue(Task* task);
-  void run_task(Task* task) noexcept;
-  void notify_if_sleepers();
-
-  std::vector<std::unique_ptr<Deque>> deques_;  ///< One per worker.
+  const int thread_count_;
   std::vector<std::thread> workers_;
 
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
-  std::deque<Task*> inject_;          ///< External submissions; guarded by mu_.
-  bool stopping_ = false;             ///< Guarded by mu_.
-  std::atomic<int> sleepers_{0};      ///< Workers blocked on work_cv_.
-  /// Tasks submitted but not yet picked up by a worker (anywhere: injection
-  /// queue or a deque). The sleep predicate: > 0 means an idle worker can
-  /// make progress.
-  std::atomic<std::size_t> unstarted_{0};
-  /// Tasks submitted but not yet finished executing; wait_idle blocks on 0.
-  std::atomic<std::size_t> unfinished_{0};
+  std::deque<std::function<void()>> queue_;  ///< Guarded by mu_.
+  std::size_t running_ = 0;                  ///< Guarded by mu_.
+  bool stopping_ = false;                    ///< Guarded by mu_.
 };
 
 /// Runs `body(i)` for every i in [0, count) across up to

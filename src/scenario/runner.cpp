@@ -369,11 +369,12 @@ SuiteRunResult run_suite(const std::vector<ScenarioSpec>& specs,
   }
 
   // One coordinator thread per member: it holds the member's single-flight
-  // lock, writes its journal (draining the campaign's SPSC handoff rings),
-  // and builds its summary, while the measurement tasks themselves all run
-  // on the shared pool. Coordinators must be dedicated threads, not pool
-  // tasks — a coordinator blocks waiting for its campaign's cells, and a
-  // blocked pool task would eat a worker the cells need.
+  // lock, writes its journal (appending the records its campaign's tasks
+  // hand back), and builds its summary, while the measurement tasks
+  // themselves all run on the shared pool. Coordinators must be dedicated
+  // threads, not pool tasks — a coordinator blocks waiting for its
+  // campaign's cells, and a blocked pool task would eat a worker the cells
+  // need.
   std::vector<std::exception_ptr> errors(specs.size());
   std::vector<std::thread> coordinators;
   coordinators.reserve(specs.size());

@@ -49,10 +49,9 @@ struct RunOptions {
   int threads = 1;
   /// External worker pool shared across scenarios — `run_suite`'s thread
   /// budget. When set it overrides `threads` and the campaign submits its
-  /// (cell, repetition) tasks there; the pool's work-stealing deques keep
-  /// every worker busy even when one scenario's cells finish early. Never
-  /// part of any cache key: scheduling does not change what a scenario
-  /// computes.
+  /// (cell, repetition) tasks there; the pool's one queue keeps every worker
+  /// busy even when one scenario's cells finish early. Never part of any
+  /// cache key: scheduling does not change what a scenario computes.
   runtime::ThreadPool* pool = nullptr;
   /// Master seed; defaults to the spec's.
   std::optional<std::uint64_t> seed;
@@ -131,12 +130,13 @@ using SuiteMemberCallback =
 /// Runs every scenario of a suite against one shared thread budget.
 ///
 /// With an effective thread count of 1 (and no external pool) the members
-/// run serially in order — the byte-for-byte reference. Otherwise one
-/// work-stealing pool of `threads` workers is shared by all members: each
-/// member gets a coordinator thread (its single-flight admission, journal
-/// writing, and summary generation), and every member's (cell, repetition)
-/// tasks land in the same pool, so a scenario with long cells no longer
-/// serializes the suite behind it — idle workers steal the stragglers.
+/// run serially in order — the byte-for-byte reference. Otherwise one pool
+/// of `threads` workers is shared by all members: each member gets a
+/// coordinator thread (its single-flight admission, journal writing, and
+/// summary generation), and every member's (cell, repetition) tasks land in
+/// the same queue, so a scenario with long cells no longer serializes the
+/// suite behind it — a worker that runs out of one member's tasks takes
+/// the next member's.
 /// Because each campaign's values land in pre-assigned slots and summaries
 /// are pure functions of those values, `members` — and anything emitted via
 /// `on_member` — is byte-identical to the serial reference.

@@ -714,9 +714,12 @@ void ServerCore::pump_until_idle() {
   for (;;) {
     const bool progress = poll_once();
     if (progress) continue;
+    // An executing connection still awaits its completion: the flight is
+    // closed and the in-flight count dropped just before the completion is
+    // queued, so neither counter below covers that window.
     bool buffered = false;
     for (const auto& [id, conn] : connections_) {
-      if (!conn.write_buf.empty() || conn.decoder.buffered() > 0) {
+      if (!conn.write_buf.empty() || conn.decoder.buffered() > 0 || conn.executing) {
         buffered = true;
         break;
       }

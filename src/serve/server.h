@@ -146,7 +146,8 @@ class ServerCore {
   void wait_activity(std::chrono::milliseconds timeout);
 
   /// Drives poll_once / wait_activity until no connection has buffered
-  /// input or output and no campaign is in flight. Test harness helper.
+  /// input or output or awaits a completion, and no campaign is in flight.
+  /// Test harness helper.
   void pump_until_idle();
 
   /// New frames get "shutting_down" errors; in-flight campaigns are

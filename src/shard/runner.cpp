@@ -1,8 +1,6 @@
 #include "shard/runner.h"
 
-#include <condition_variable>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "core/confirm.h"
@@ -91,43 +89,14 @@ CellTaskResult run_cell_task(std::vector<core::CampaignCell>& cells,
   result.resumed = static_cast<std::size_t>(cap) - pending.size();
 
   std::vector<double> values(pending.size());
-  const int workers = runtime::ThreadPool::resolve_thread_count(threads);
-  const auto run_one = [&](std::size_t t) {
+  runtime::parallel_for_each(threads, pending.size(), [&](std::size_t t) {
+    if (cancelled(cancel)) return;
     const int r = pending[t];
     cells[idx].fresh();
     stats::Rng rep_rng{core::campaign_repetition_seed(seed, idx, r)};
     values[t] = cells[idx].run_once(rep_rng);
-  };
+  });
   if (cancelled(cancel)) return result;
-  if (workers > 1 && pending.size() > 1) {
-    runtime::ThreadPool pool{workers};
-    std::atomic<std::size_t> left{pending.size()};
-    std::mutex mu;
-    std::condition_variable cv;
-    std::exception_ptr error;
-    for (std::size_t t = 0; t < pending.size(); ++t) {
-      pool.submit([&, t] {
-        try {
-          if (!cancelled(cancel)) run_one(t);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock{mu};
-          if (!error) error = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lock{mu};
-        left.fetch_sub(1, std::memory_order_seq_cst);
-        cv.notify_one();
-      });
-    }
-    std::unique_lock<std::mutex> lock{mu};
-    cv.wait(lock, [&] { return left.load(std::memory_order_seq_cst) == 0; });
-    if (error) std::rethrow_exception(error);
-    if (cancelled(cancel)) return result;
-  } else {
-    for (std::size_t t = 0; t < pending.size(); ++t) {
-      if (cancelled(cancel)) return result;
-      run_one(t);
-    }
-  }
   for (std::size_t t = 0; t < pending.size(); ++t) {
     result.lines.push_back(core::journal_line({idx, pending[t], values[t]}));
   }

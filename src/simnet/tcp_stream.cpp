@@ -2,21 +2,32 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <queue>
 #include <stdexcept>
+#include <vector>
 
-#include "runtime/calendar_queue.h"
 #include "simnet/units.h"
 
 namespace cloudrepro::simnet {
 
 namespace {
 
-enum class EventKind { kAck, kLossSignal, kRto };
+enum class EventKind { kAck, kLossSignal };
 
 struct Event {
   double time = 0.0;
+  std::uint64_t seq = 0;   ///< Push order: the tie-break.
   EventKind kind = EventKind::kAck;
   double send_time = 0.0;  ///< For RTT samples on acks.
+};
+
+/// Orders the heap so its top is the earliest (time, seq).
+struct Later {
+  bool operator()(const Event& a, const Event& b) const noexcept {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
 };
 
 }  // namespace
@@ -38,12 +49,11 @@ TcpStreamResult run_tcp_stream(QosPolicy& qos, const VnicConfig& vnic,
   TcpStreamResult result;
   result.duration_s = config.duration_s;
 
-  // Calendar queue over the in-flight window's ack/loss timers. Event
-  // spacing tracks the RTT scale, which seeds the bucket width; equal
-  // timestamps (e.g. a burst of tail drops detected together) pop in push
-  // order, so the event flow is a pure function of the send sequence.
-  runtime::CalendarQueue<Event> events{
-      vnic.base_rtt_s > 0.0 ? vnic.base_rtt_s : 1e-3};
+  // Heap over the in-flight window's ack/loss timers. Equal timestamps
+  // (e.g. a burst of tail drops detected together) pop in push order, so
+  // the event flow is a pure function of the send sequence.
+  std::priority_queue<Event, std::vector<Event>, Later> events;
+  std::uint64_t next_seq = 0;
 
   double now = 0.0;
   double server_free_at = 0.0;   ///< Bottleneck queue: time the server drains.
@@ -109,7 +119,7 @@ TcpStreamResult run_tcp_stream(QosPolicy& qos, const VnicConfig& vnic,
       // data would have arrived (triple duplicate ACK).
       const double detect = now + queue_wait + 3.0 * service_s +
                             vnic.base_rtt_s + srtt;
-      events.push(detect, Event{detect, EventKind::kLossSignal, now});
+      events.push(Event{detect, next_seq++, EventKind::kLossSignal, now});
       if (is_retransmission) ++result.retransmissions;
       return;
     }
@@ -117,7 +127,7 @@ TcpStreamResult run_tcp_stream(QosPolicy& qos, const VnicConfig& vnic,
     server_free_at = std::max(server_free_at, now) + service_s;
     const double jitter = std::exp(rng.normal(0.0, 0.2 * vnic.rtt_jitter_sigma));
     const double ack_time = server_free_at + vnic.base_rtt_s * jitter;
-    events.push(ack_time, Event{ack_time, EventKind::kAck, now});
+    events.push(Event{ack_time, next_seq++, EventKind::kAck, now});
     if (is_retransmission) {
       ++result.retransmissions;
     }
@@ -129,7 +139,8 @@ TcpStreamResult run_tcp_stream(QosPolicy& qos, const VnicConfig& vnic,
   }
 
   while (now < config.duration_s && !events.empty()) {
-    const Event ev = events.pop();
+    const Event ev = events.top();
+    events.pop();
     if (ev.time > config.duration_s) break;
     now = ev.time;
     flush_interval(now);
@@ -172,14 +183,6 @@ TcpStreamResult run_tcp_stream(QosPolicy& qos, const VnicConfig& vnic,
           result.packets.push_back(PacketSample{ev.send_time, now - ev.send_time, true});
         }
         send_segment(true);  // Retransmit the lost segment.
-        break;
-      }
-      case EventKind::kRto: {
-        // Unused in this event flow (losses always produce a signal), kept
-        // for future half-open scenarios.
-        ++result.timeouts;
-        ssthresh = std::max(cwnd / 2.0, 2.0);
-        cwnd = tcp.initial_cwnd_segments;
         break;
       }
     }

@@ -14,7 +14,7 @@ namespace cloudrepro::simnet {
 /// The figure-generating path (`run_packet_stream`) models TCP's effect on
 /// the queue statistically (a sawtooth occupancy). This module implements
 /// the real control loop — slow start, congestion avoidance (AIMD), fast
-/// retransmit/recovery, RTO — over the same virtual-NIC bottleneck, so the
+/// retransmit/recovery — over the same virtual-NIC bottleneck, so the
 /// simplified model can be validated against it
 /// (`bench_ablation_tcp_model`). It is also useful on its own for studying
 /// how congestion control interacts with token-bucket rate changes
@@ -31,7 +31,6 @@ struct TcpConfig {
 struct TcpStreamResult {
   std::size_t segments_sent = 0;       ///< Unique segments delivered.
   std::size_t retransmissions = 0;     ///< Loss-triggered resends.
-  std::size_t timeouts = 0;            ///< RTO events.
   double duration_s = 0.0;
   double delivered_gbit = 0.0;
 

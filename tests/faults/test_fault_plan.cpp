@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <limits>
+#include <vector>
 
 #include "faults/injector.h"
+#include "stats/rng.h"
 
 namespace cloudrepro::faults {
 namespace {
@@ -135,6 +140,47 @@ TEST(FaultInjectorTest, PopsInTimeOrderWithStableTies) {
   EXPECT_EQ(inj.pop().kind, FaultKind::kNodeCrash);
   EXPECT_TRUE(inj.empty());
   EXPECT_TRUE(std::isinf(inj.next_time()));
+}
+
+TEST(FaultInjectorTest, TiesPopInScheduleOrderAcrossSeeds) {
+  // Hundreds of events on a handful of timestamps, with follow-ups
+  // scheduled at the just-popped time between pops (the engine's restore
+  // and delayed-death pattern). Every pop is the earliest pending time and
+  // every follow-up lands at that time, so the pop sequence must be the
+  // schedule order stably sorted by time. A heap that drops its sequence
+  // key pops ties in heap order and fails this.
+  constexpr double kTimes[] = {0.0, 5.0, 12.5, 60.0, 3600.0};
+  constexpr auto kLast = static_cast<std::int64_t>(std::size(kTimes)) - 1;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    stats::Rng rng{seed};
+    std::vector<FaultEvent> scheduled;  // `node` is each event's id.
+    FaultInjector inj;
+    const auto schedule_at = [&](double at_s) {
+      const FaultEvent event{FaultKind::kNodeCrash, at_s, scheduled.size(), 0.0, 0.0};
+      scheduled.push_back(event);
+      inj.schedule(event);
+    };
+    for (int i = 0; i < 200; ++i) {
+      schedule_at(kTimes[rng.uniform_int(0, kLast)]);
+    }
+    std::vector<std::size_t> popped;
+    while (!inj.empty()) {
+      const FaultEvent event = inj.pop();
+      popped.push_back(event.node);
+      const auto follow_ups = rng.uniform_int(0, 2);
+      for (std::int64_t k = 0; k < follow_ups && scheduled.size() < 400; ++k) {
+        schedule_at(event.at_s);
+      }
+    }
+
+    auto expected = scheduled;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const FaultEvent& a, const FaultEvent& b) { return a.at_s < b.at_s; });
+    ASSERT_EQ(popped.size(), expected.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(popped[i], expected[i].node) << "seed " << seed << " pop " << i;
+    }
+  }
 }
 
 TEST(FaultInjectorTest, EmptyInjectorReportsInfiniteNextTime) {

@@ -62,33 +62,10 @@ TEST(ThreadPoolTest, SubmitNullThrows) {
   EXPECT_THROW(pool.submit({}), std::invalid_argument);
 }
 
-TEST(ThreadPoolStealTest, CurrentWorkerIndexIdentifiesThisPoolsWorkers) {
-  ThreadPool pool{3};
-  ThreadPool other{2};
-  EXPECT_EQ(pool.current_worker_index(), -1);  // Not a worker thread.
-  std::atomic<bool> index_in_range{true};
-  std::atomic<bool> foreign_pool_reads_minus_one{true};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] {
-      const int self = pool.current_worker_index();
-      if (self < 0 || self >= pool.thread_count()) {
-        index_in_range.store(false, std::memory_order_relaxed);
-      }
-      if (other.current_worker_index() != -1) {
-        foreign_pool_reads_minus_one.store(false, std::memory_order_relaxed);
-      }
-    });
-  }
-  pool.wait_idle();
-  EXPECT_TRUE(index_in_range.load());
-  EXPECT_TRUE(foreign_pool_reads_minus_one.load());
-}
-
 TEST(ThreadPoolStealTest, WorkerSubmittedTasksAreStolenWhileOwnerBlocks) {
-  // A worker fills its own deque with subtasks, then blocks until they all
-  // finish. It cannot run them itself, so the other workers must steal them
-  // off the blocked owner's deque — the scenario `cloudrepro suite` creates
-  // when one member's coordinator waits on cells another worker could run.
+  // A worker submits subtasks, then blocks until they all finish. It cannot
+  // run them itself, so the other workers must pick them up — the shape of
+  // one member's tasks waiting behind another's in a shared suite pool.
   ThreadPool pool{4};
   constexpr int kSubtasks = 100;
   std::atomic<int> done{0};
@@ -108,8 +85,8 @@ TEST(ThreadPoolStealTest, WorkerSubmittedTasksAreStolenWhileOwnerBlocks) {
 }
 
 TEST(ThreadPoolStealTest, ManyProducersManyThievesCompleteEveryTask) {
-  // Contention torture for the Chase-Lev deques: every worker both produces
-  // (fan-out resubmission) and steals. The count must balance exactly.
+  // Contention torture for the shared queue: every worker both produces
+  // (fan-out resubmission) and consumes. The count must balance exactly.
   ThreadPool pool{4};
   std::atomic<int> executed{0};
   constexpr int kRoots = 64;
@@ -128,8 +105,8 @@ TEST(ThreadPoolStealTest, ManyProducersManyThievesCompleteEveryTask) {
 }
 
 TEST(ThreadPoolStealTest, DequeOverflowFallsBackToInjectionQueue) {
-  // A worker submitting more than the fixed deque capacity (1024) must spill
-  // to the injection queue, never drop or deadlock.
+  // A worker submitting thousands of tasks from inside a task must never
+  // drop one or deadlock.
   ThreadPool pool{2};
   std::atomic<int> done{0};
   constexpr int kTasks = 3000;

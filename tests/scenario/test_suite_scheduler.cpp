@@ -1,5 +1,5 @@
-// Work-stealing suite scheduler: `run_suite` draws every member scenario's
-// (cell, repetition) tasks from one shared thread pool, yet its emitted
+// Suite scheduler: `run_suite` draws every member scenario's (cell,
+// repetition) tasks from one shared thread pool, yet its emitted
 // output must be byte-identical to the serial reference — at any thread
 // count, cold or cached. This is the `cloudrepro suite --threads N`
 // contract.
@@ -22,9 +22,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Two tiny two-cell scenarios with deliberately unequal work so the
-/// stealing path actually engages: member one's cells outlast member two's,
-/// and idle workers must cross member boundaries to stay busy.
+/// Two tiny two-cell scenarios with deliberately unequal work: member one's
+/// cells outlast member two's, so idle workers cross member boundaries to
+/// stay busy.
 std::vector<ScenarioSpec> tiny_suite() {
   ScenarioSpec heavy;
   heavy.name = "suite-test-heavy";
@@ -77,14 +77,14 @@ TEST_F(SuiteWorkStealingTest, OutputBytesIdenticalAcrossThreadCountsAndCache) {
   const std::string reference = emitted_bytes(specs, serial);
   ASSERT_FALSE(reference.empty());
 
-  // Work-stealing, cold: threads=4 against a fresh store.
+  // Shared pool, cold: threads=4 against a fresh store.
   ResultStore store{root_};
   RunOptions stealing;
   stealing.threads = 4;
   stealing.store = &store;
   EXPECT_EQ(emitted_bytes(specs, stealing), reference) << "cold, threads=4";
 
-  // Work-stealing, cached: every member served from the published summary.
+  // Shared pool, cached: every member served from the published summary.
   EXPECT_EQ(emitted_bytes(specs, stealing), reference) << "cached, threads=4";
 
   // And threads=1 against the warm cache reads the same bytes back.
@@ -134,8 +134,8 @@ TEST_F(SuiteWorkStealingTest, ExternalPoolIsSharedAndSurvivesTheSuite) {
 
 TEST_F(SuiteWorkStealingTest, AdaptiveMembersConvergeIdenticallyUnderStealing) {
   // Adaptive CONFIRM is the order-sensitive path: one sequential task per
-  // cell, stop decisions re-derived from the value prefix. Stealing across
-  // members must not change a single byte of it.
+  // cell, stop decisions re-derived from the value prefix. Sharing workers
+  // across members must not change a single byte of it.
   auto specs = tiny_suite();
   for (auto& spec : specs) {
     spec.confirm.enabled = true;
