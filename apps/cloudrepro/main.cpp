@@ -42,7 +42,6 @@
 #include "serve/server.h"
 #include "serve/socket.h"
 #include "serve/worker.h"
-#include "shard/local.h"
 
 namespace {
 
@@ -112,12 +111,6 @@ int usage(std::ostream& os, int code) {
         "  --error-bound B          override confirm.error_bound (implies --adaptive)\n"
         "  --out FILE               write the summary to FILE instead of stdout\n"
         "  --csv FILE               write config,treatment,repetition,value CSV\n"
-        "  --shards N               (run) split the campaign's cells across N\n"
-        "                           in-process shard workers and merge their\n"
-        "                           journals; output bytes identical to a\n"
-        "                           single-node run (requires the cache)\n"
-        "  --workers T              (run --shards) threads per shard worker\n"
-        "                           for non-adaptive repetitions (default 1)\n"
         "\n"
         "options (serve):\n"
         "  --listen HOST:PORT       bind address (default 127.0.0.1:9119;\n"
@@ -164,8 +157,6 @@ struct Cli {
   int max_inflight = 16;
   bool fetch_list = false;
   bool fetch_stats = false;
-  int shards = 0;  ///< run: 0 = single-node path, N > 0 = sharded driver.
-  int workers = 1;
   std::string coordinator = "127.0.0.1:9119";
   std::string worker_id;
   int max_idle = 0;
@@ -311,26 +302,6 @@ bool parse_cli(int argc, char** argv, int first, Cli& cli) {
       cli.fetch_list = true;
     } else if (arg == "--stats") {
       cli.fetch_stats = true;
-    } else if (arg == "--shards") {
-      const char* v = need(i);
-      if (!v) return false;
-      const auto n = parse_int(v);
-      if (!n || *n == 0) {
-        std::cerr << "cloudrepro: bad --shards \"" << v << "\"\n";
-        return false;
-      }
-      cli.shards = *n;
-      ++i;
-    } else if (arg == "--workers") {
-      const char* v = need(i);
-      if (!v) return false;
-      const auto n = parse_int(v);
-      if (!n || *n == 0) {
-        std::cerr << "cloudrepro: bad --workers \"" << v << "\"\n";
-        return false;
-      }
-      cli.workers = *n;
-      ++i;
     } else if (arg == "--coordinator") {
       const char* v = need(i);
       if (!v) return false;
@@ -442,22 +413,9 @@ int run_one(const ScenarioSpec& spec, const Cli& cli, ResultStore* store,
 
   const std::uint64_t seed = cli.seed.value_or(spec.seed);
   std::cerr << "cloudrepro: " << spec.name << " hash=" << spec.content_hash()
-            << " seed=" << seed
-            << (cli.shards > 0 ? " shards=" + std::to_string(cli.shards) : "")
-            << "\n";
+            << " seed=" << seed << "\n";
 
-  cloudrepro::scenario::ScenarioRunResult result;
-  if (cli.shards > 0) {
-    cloudrepro::shard::LocalShardOptions sharded;
-    sharded.shards = static_cast<std::size_t>(cli.shards);
-    sharded.worker_threads = cli.workers;
-    sharded.store = store;
-    sharded.seed = cli.seed;
-    sharded.cancel = &g_cancel;
-    result = cloudrepro::shard::run_scenario_sharded(spec, sharded);
-  } else {
-    result = cloudrepro::scenario::run_scenario(spec, options);
-  }
+  const auto result = cloudrepro::scenario::run_scenario(spec, options);
 
   std::cerr << "cloudrepro: cache " << ResultStore::to_string(result.hit_state)
             << (store ? "" : " (disabled)") << ", executed "
@@ -536,16 +494,6 @@ int cmd_describe(const Cli& cli) {
 int cmd_run(const Cli& cli) {
   if (cli.positional.size() != 1) {
     std::cerr << "cloudrepro: run needs exactly one scenario\n";
-    return 2;
-  }
-  if (cli.shards > 0 && cli.no_cache) {
-    std::cerr << "cloudrepro: --shards needs the result cache (drop "
-                 "--no-cache): the merged journal lands in its entry\n";
-    return 2;
-  }
-  if (cli.shards > 0 && !cli.csv_path.empty()) {
-    std::cerr << "cloudrepro: --csv is not supported with --shards; rerun "
-                 "without --shards (the cache entry is shared)\n";
     return 2;
   }
   const ScenarioSpec spec =

@@ -23,7 +23,6 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/transport.h"
-#include "shard/local.h"
 #include "simnet/fluid_network.h"
 #include "simnet/packet_path.h"
 #include "simnet/qos.h"
@@ -173,48 +172,6 @@ void BM_SuiteWorkStealing(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (3 * 2 + 2));
 }
 BENCHMARK(BM_SuiteWorkStealing)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-// The sharded driver against the plain runner on the same cold campaign:
-// arg 0 is the single-node baseline, args 1/2/4 run the full shard
-// machinery (deterministic partition, per-worker cell materialization,
-// record merge, journal write, replay publication). shards=1's delta over
-// the baseline *is* the coordination overhead — it must stay within noise,
-// since both arms execute identical measurements; larger args chart how
-// much of a multi-cell campaign the extra workers reclaim.
-void BM_ShardedCampaign(benchmark::State& state) {
-  namespace fs = std::filesystem;
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  const fs::path root = fs::temp_directory_path() / "cloudrepro-bench-shard";
-  scenario::ScenarioSpec spec;
-  spec.name = "bench-shard";
-  spec.workloads = {{"hibench", "TS", std::nullopt}, {"hibench", "KM", std::nullopt}};
-  spec.budgets = {5000.0, 10.0};
-  // Enough repetitions that per-campaign fixed costs (thread spawn, the
-  // extra journal fsync + replay pass) amortize: shards=1 is then measuring
-  // coordination overhead against real work, not against an empty campaign.
-  spec.repetitions = 64;
-  for (auto _ : state) {
-    state.PauseTiming();
-    fs::remove_all(root);  // Cold cache: every iteration executes the campaign.
-    state.ResumeTiming();
-    scenario::ResultStore store{root};
-    if (shards == 0) {
-      scenario::RunOptions run;
-      run.threads = 1;
-      run.store = &store;
-      benchmark::DoNotOptimize(scenario::run_scenario(spec, run));
-    } else {
-      shard::LocalShardOptions options;
-      options.shards = shards;
-      options.store = &store;
-      benchmark::DoNotOptimize(shard::run_scenario_sharded(spec, options));
-    }
-  }
-  fs::remove_all(root);
-  state.SetLabel(shards == 0 ? "baseline" : "shards_" + std::to_string(shards));
-  state.SetItemsProcessed(state.iterations() * 4 * 64);
-}
-BENCHMARK(BM_ShardedCampaign)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // The serving daemon's cached-hit request path over the in-memory
 // transport: request framing, reactor dispatch, the checked summary read,

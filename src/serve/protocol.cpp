@@ -59,8 +59,6 @@ Request parse_request(std::string_view frame) {
     request.op = Request::Op::kList;
   } else if (op_name == "STATS") {
     request.op = Request::Op::kStats;
-  } else if (op_name == "SHARD_PLAN") {
-    request.op = Request::Op::kShardPlan;
   } else if (op_name == "SHARD_PULL") {
     request.op = Request::Op::kShardPull;
   } else if (op_name == "SHARD_PUSH") {
@@ -128,12 +126,6 @@ Request parse_request(std::string_view frame) {
         request.records.push_back(line.as_string());
       }
     }
-    if (const Json* done = doc.find("done")) {
-      if (!done->is_bool()) {
-        throw ProtocolError{"bad_field", "\"done\" must be a boolean"};
-      }
-      request.done = done->as_bool();
-    }
     if (const Json* wall = doc.find("wall_s")) {
       if (!wall->is_number()) {
         throw ProtocolError{"bad_field", "\"wall_s\" must be a number"};
@@ -142,10 +134,7 @@ Request parse_request(std::string_view frame) {
     }
     return request;
   }
-  if (request.op != Request::Op::kGet &&
-      request.op != Request::Op::kShardPlan) {
-    return request;
-  }
+  if (request.op != Request::Op::kGet) return request;
 
   int addresses = 0;
   if (const Json* spec = doc.find("spec")) {
@@ -320,40 +309,6 @@ std::size_t require_size(const Json& object, const char* field,
 
 }  // namespace
 
-std::string shard_plan_response(const ShardPlanInfo& info) {
-  JsonObject root;
-  root["assigned"] = Json{static_cast<std::uint64_t>(info.assigned)};
-  root["cells"] = Json{static_cast<std::uint64_t>(info.cells)};
-  root["completed"] = Json{static_cast<std::uint64_t>(info.completed)};
-  root["key"] = Json{info.key};
-  root["ok"] = Json{true};
-  root["pending"] = Json{static_cast<std::uint64_t>(info.pending)};
-  root["state"] = Json{info.state};
-  root["workers"] = Json{static_cast<std::uint64_t>(info.workers)};
-  return Json{std::move(root)}.canonical();
-}
-
-ShardPlanInfo parse_shard_plan_response(std::string_view frame) {
-  const Json doc = parse_ok_object(frame, "SHARD_PLAN");
-  ShardPlanInfo info;
-  const Json* key = doc.find("key");
-  if (!key || !key->is_string()) {
-    throw ProtocolError{"bad_field", "SHARD_PLAN response missing \"key\""};
-  }
-  info.key = key->as_string();
-  const Json* state = doc.find("state");
-  if (!state || !state->is_string()) {
-    throw ProtocolError{"bad_field", "SHARD_PLAN response missing \"state\""};
-  }
-  info.state = state->as_string();
-  info.cells = require_size(doc, "cells", "SHARD_PLAN");
-  info.completed = require_size(doc, "completed", "SHARD_PLAN");
-  info.pending = require_size(doc, "pending", "SHARD_PLAN");
-  info.assigned = require_size(doc, "assigned", "SHARD_PLAN");
-  info.workers = require_size(doc, "workers", "SHARD_PLAN");
-  return info;
-}
-
 std::string shard_idle_response(int retry_ms) {
   JsonObject root;
   root["idle"] = Json{true};
@@ -489,16 +444,6 @@ std::string stats_request_frame() {
   return Json{std::move(root)}.canonical();
 }
 
-std::string shard_plan_request_frame_by_name(
-    std::string_view name, std::optional<std::uint64_t> seed) {
-  JsonObject root;
-  root["op"] = Json{"SHARD_PLAN"};
-  root["protocol"] = Json{kProtocolVersion};
-  root["scenario"] = Json{std::string{name}};
-  if (seed) root["seed"] = Json{*seed};
-  return Json{std::move(root)}.canonical();
-}
-
 std::string shard_pull_request_frame(std::string_view worker) {
   JsonObject root;
   root["op"] = Json{"SHARD_PULL"};
@@ -510,10 +455,9 @@ std::string shard_pull_request_frame(std::string_view worker) {
 std::string shard_push_request_frame(std::string_view worker,
                                      const std::string& key, std::size_t cell,
                                      const std::vector<std::string>& records,
-                                     bool done, double wall_s) {
+                                     double wall_s) {
   JsonObject root;
   root["cell"] = Json{static_cast<std::uint64_t>(cell)};
-  root["done"] = Json{done};
   root["key"] = Json{key};
   root["op"] = Json{"SHARD_PUSH"};
   root["protocol"] = Json{kProtocolVersion};

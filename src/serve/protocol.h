@@ -34,10 +34,10 @@ class ProtocolError : public std::runtime_error {
 /// inline spec (hash derived), a registry name (hash of the named spec), or
 /// a bare content hash (resolved against the server's registry index).
 struct Request {
-  enum class Op { kGet, kList, kStats, kShardPlan, kShardPull, kShardPush };
+  enum class Op { kGet, kList, kStats, kShardPull, kShardPush };
   Op op = Op::kGet;
 
-  // GET / SHARD_PLAN addressing — exactly one of these three is set.
+  // GET addressing — exactly one of these three is set.
   std::optional<scenario::ScenarioSpec> spec;  ///< Inline spec document.
   std::string scenario_name;                   ///< Registry name.
   std::string hash;                            ///< 64-hex content hash.
@@ -54,8 +54,6 @@ struct Request {
   std::string key;                   ///< Session key (opaque to workers).
   std::size_t cell = 0;              ///< SHARD_PUSH: cell the records are for.
   std::vector<std::string> records;  ///< SHARD_PUSH: journal record lines.
-  bool done = false;                 ///< SHARD_PUSH: worker claims the cell
-                                     ///< reached its stop point.
   double wall_s = 0.0;               ///< SHARD_PUSH: cell wall time (metrics).
 };
 
@@ -88,29 +86,13 @@ struct Response {
 };
 Response parse_response(std::string_view frame);
 
-// --- Shard coordination (SHARD_PLAN / SHARD_PULL / SHARD_PUSH) -----------
-// SHARD_PLAN reports a campaign's sharding state (observability and test
-// introspection; campaigns start via GET so single-flight stays the only
-// admission path). SHARD_PULL registers the connection as a worker and
-// claims the next unassigned cell; SHARD_PUSH streams a cell's journal
-// records back. Workers never see the registry or the store — assignments
-// ship the spec inline and records are opaque journal lines.
-
-/// Server-side state of one distributed campaign, as reported by
-/// SHARD_PLAN and parsed from its response.
-struct ShardPlanInfo {
-  std::string key;
-  /// "complete" (summary published), "running" (session open), or "idle"
-  /// (no session; a GET would open one while workers are connected).
-  std::string state;
-  std::size_t cells = 0;
-  std::size_t completed = 0;
-  std::size_t pending = 0;   ///< Unassigned cells (running sessions).
-  std::size_t assigned = 0;  ///< Cells currently out with workers.
-  std::size_t workers = 0;   ///< Worker connections registered.
-};
-std::string shard_plan_response(const ShardPlanInfo& info);
-ShardPlanInfo parse_shard_plan_response(std::string_view frame);
+// --- Shard coordination (SHARD_PULL / SHARD_PUSH) ------------------------
+// SHARD_PULL registers the connection as a worker and claims the next
+// unassigned cell; SHARD_PUSH streams a cell's journal records back.
+// Campaigns start via GET, so single-flight stays the only admission path,
+// and the coordinator decides cell completion from the records alone.
+// Workers never see the registry or the store — assignments ship the spec
+// inline and records are opaque journal lines.
 
 /// One SHARD_PULL outcome: an assignment, or idle (retry later).
 struct ShardAssignment {
@@ -150,12 +132,10 @@ std::string get_request_frame_by_hash(std::string_view hash,
                                       std::uint64_t seed);
 std::string list_request_frame();
 std::string stats_request_frame();
-std::string shard_plan_request_frame_by_name(std::string_view name,
-                                             std::optional<std::uint64_t> seed);
 std::string shard_pull_request_frame(std::string_view worker);
 std::string shard_push_request_frame(std::string_view worker,
                                      const std::string& key, std::size_t cell,
                                      const std::vector<std::string>& records,
-                                     bool done, double wall_s);
+                                     double wall_s);
 
 }  // namespace cloudrepro::serve

@@ -201,10 +201,6 @@ void ServerCore::handle_frame(Connection& conn, const std::string& frame) {
       count("serve.requests_stats");
       respond(conn, stats_response());
       return;
-    case Request::Op::kShardPlan:
-      count("serve.requests_shard_plan");
-      handle_shard_plan(conn, request);
-      return;
     case Request::Op::kShardPull:
       count("serve.requests_shard_pull");
       handle_shard_pull(conn, request);
@@ -321,35 +317,6 @@ void ServerCore::handle_get(Connection& conn, const Request& request) {
   } else {
     count("serve.single_flight_coalesced");
   }
-}
-
-void ServerCore::handle_shard_plan(Connection& conn, const Request& request) {
-  const scenario::ScenarioSpec* spec = resolve_request_spec(conn, request);
-  if (!spec) return;
-  const std::uint64_t seed = request.seed.value_or(spec->seed);
-  ShardPlanInfo info;
-  info.key = store_.entry_key(*spec, seed);
-  info.workers = worker_count_;
-  const auto it = sessions_.find(info.key);
-  if (it != sessions_.end()) {
-    const ShardSession& session = it->second;
-    info.state = "running";
-    info.cells = session.plan->cell_count();
-    info.completed = session.plan->completed_cells();
-    info.pending = session.pending.size();
-    for (const auto& [id, cells] : session.assigned) {
-      info.assigned += cells.size();
-    }
-  } else {
-    info.cells = scenario::build_cells(*spec).size();
-    if (store_.has_summary(*spec, seed)) {
-      info.state = "complete";
-      info.completed = info.cells;
-    } else {
-      info.state = "idle";
-    }
-  }
-  respond(conn, shard_plan_response(info));
 }
 
 void ServerCore::handle_shard_pull(Connection& conn, const Request& request) {

@@ -96,7 +96,7 @@ struct ServeOptions {
 ///   serve.single_flight_coalesced     requests that shared an open flight
 ///   serve.peer_hit / _miss / _error   read-through outcomes
 ///   serve.slow_client_drops           connections dropped over max_write_buffer
-///   serve.requests_shard_plan / _shard_pull / _shard_push
+///   serve.requests_shard_pull / _shard_push
 ///   shard.sessions_opened             distributed campaigns started
 ///   shard.sessions_finalized          merged complete and published
 ///   shard.sessions_demoted            fell back to local execution
@@ -226,7 +226,6 @@ class ServerCore {
   void observe_latency(const Connection& conn);
 
   // Shard coordination (reactor thread only).
-  void handle_shard_plan(Connection& conn, const struct Request& request);
   void handle_shard_pull(Connection& conn, const struct Request& request);
   void handle_shard_push(Connection& conn, const struct Request& request);
   /// Opens a session for the flight's leader; false = fall back to the
@@ -247,8 +246,8 @@ class ServerCore {
   // Request plumbing.
   const scenario::ScenarioSpec* resolve_by_name(const std::string& name) const;
   const scenario::ScenarioSpec* resolve_by_hash(const std::string& hash) const;
-  /// GET / SHARD_PLAN addressing: resolves the request's spec, answering
-  /// the error itself (and returning null) when nothing matches.
+  /// GET addressing: resolves the request's spec, answering the error
+  /// itself (and returning null) when nothing matches.
   const scenario::ScenarioSpec* resolve_request_spec(
       Connection& conn, const struct Request& request);
   std::string list_response() const;

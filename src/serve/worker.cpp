@@ -55,7 +55,6 @@ WorkerStats run_worker(std::unique_ptr<Transport> transport,
     }
     const ShardAssignment assignment = parse_shard_pull_response(pull.body);
     if (assignment.idle) {
-      ++stats.idle_polls;
       ++consecutive_idle;
       if (options.max_idle_polls > 0 &&
           consecutive_idle >= options.max_idle_polls) {
@@ -95,7 +94,7 @@ WorkerStats run_worker(std::unique_ptr<Transport> transport,
 
     Response push = client.request(
         shard_push_request_frame(options.name, assignment.key, assignment.cell,
-                                 result.lines, result.complete, wall_s));
+                                 result.lines, wall_s));
     if (!push.ok) {
       if (push.error_code == "unknown_session") {
         // The coordinator finalized or abandoned this campaign while we were

@@ -16,8 +16,7 @@ namespace cloudrepro::serve {
 /// `max_idle_polls` consecutive pulls, when that bound is set — how tests
 /// and CI keep workers from running forever).
 struct WorkerOptions {
-  /// Worker name echoed in every request; shows up in coordinator logs and
-  /// SHARD_PLAN worker attribution.
+  /// Worker name echoed in every request (attribution in coordinator logs).
   std::string name = "worker";
   /// Measurement threads per assigned cell (non-adaptive cells only;
   /// adaptive cells are inherently sequential). Never affects bytes.
@@ -28,8 +27,8 @@ struct WorkerOptions {
   /// Exit after this many consecutive idle pulls; 0 = poll until cancelled.
   int max_idle_polls = 0;
   /// Cooperative cancellation (SIGINT/SIGTERM). A cell in flight finishes
-  /// its current repetition, pushes its partial progress, and the loop
-  /// exits.
+  /// the repetitions already running, pushes every finished one, and the
+  /// loop exits.
   const std::atomic<bool>* cancel = nullptr;
   /// Human-readable progress lines ("assigned cell 3 of fig13-confirm",
   /// ...); the CLI points this at stderr. Null = silent.
@@ -37,10 +36,9 @@ struct WorkerOptions {
 };
 
 struct WorkerStats {
-  std::size_t cells_completed = 0;  ///< Assignments pushed with done=true.
-  std::size_t cells_partial = 0;    ///< Assignments pushed incomplete.
+  std::size_t cells_completed = 0;  ///< Assignments run to their stop point.
+  std::size_t cells_partial = 0;    ///< Assignments cut short by cancellation.
   std::size_t records_pushed = 0;   ///< Record lines the coordinator accepted.
-  std::size_t idle_polls = 0;
 };
 
 /// Runs the pull/run/push worker loop over `transport` until cancellation,

@@ -6,26 +6,10 @@
 
 namespace cloudrepro::shard {
 
-std::size_t shard_of(std::string_view entry_key, std::size_t cell,
-                     std::size_t shards) noexcept {
-  if (shards == 0) return 0;
-  // FNV-1a over the entry key, then the campaign's own seed mixer over the
-  // cell index: any participant with (key, cell, shards) derives the same
-  // owner, no coordination required.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : entry_key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return static_cast<std::size_t>(core::campaign_repetition_seed(h, cell, 0) %
-                                  shards);
-}
-
 ShardPlan::ShardPlan(const std::vector<core::CampaignCell>& cells,
                      const core::CampaignOptions& options, std::uint64_t seed)
     : cells_(cells.size()),
       options_(options),
-      seed_(seed),
       header_(core::journal_header(cells, options, seed)),
       execution_order_(
           core::campaign_execution_order(cells.size(), options, seed)) {

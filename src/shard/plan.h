@@ -4,7 +4,6 @@
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/campaign.h"
@@ -49,19 +48,12 @@ class ShardMergeError : public std::runtime_error {
   std::string code_;
 };
 
-/// Deterministic owner shard for one cell: a hash of (entry key, cell
-/// index) mod `shards`. Stable across processes and machines — every
-/// participant derives the same partition without coordination.
-std::size_t shard_of(std::string_view entry_key, std::size_t cell,
-                     std::size_t shards) noexcept;
-
 /// Authoritative record set for one distributed campaign, owned by the
 /// coordinator. Accepts journal record lines in any arrival order and from
 /// any worker; answers resume prefixes for (re)assignment; decides per-cell
 /// and campaign completeness; and emits the canonical merged journal.
 ///
-/// Not thread-safe: the coordinator owns it on one thread (the serve
-/// reactor, or a mutex in the in-process driver).
+/// Not thread-safe: the coordinator owns it on the serve reactor thread.
 class ShardPlan {
  public:
   /// `cells` is only read for its labels (header) and count; the callables
@@ -72,9 +64,6 @@ class ShardPlan {
 
   const std::string& header() const noexcept { return header_; }
   std::size_t cell_count() const noexcept { return cells_.size(); }
-  int repetition_cap() const noexcept { return options_.repetitions_per_cell; }
-  bool adaptive() const noexcept { return options_.adaptive.enabled; }
-  std::uint64_t seed() const noexcept { return seed_; }
   const std::vector<std::size_t>& execution_order() const noexcept {
     return execution_order_;
   }
@@ -139,7 +128,6 @@ class ShardPlan {
 
   std::vector<CellState> cells_;
   core::CampaignOptions options_;
-  std::uint64_t seed_ = 0;
   std::string header_;
   std::vector<std::size_t> execution_order_;
 };

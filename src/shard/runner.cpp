@@ -56,7 +56,6 @@ CellTaskResult run_cell_task(std::vector<core::CampaignCell>& cells,
       double value = 0.0;
       if (const auto it = done.find(r); it != done.end()) {
         value = it->second;
-        ++result.resumed;
       } else {
         if (cancelled(cancel)) return result;
         cells[idx].fresh();
@@ -81,27 +80,29 @@ CellTaskResult run_cell_task(std::vector<core::CampaignCell>& cells,
 
   // Non-adaptive: the pending repetition set is known up front, so it
   // parallelizes into pre-assigned slots; lines are emitted rep-ascending
-  // regardless of completion order.
+  // regardless of completion order. A cancelled cell hands back every slot
+  // that finished, so its progress survives the interruption.
   std::vector<int> pending;
   for (int r = 0; r < cap; ++r) {
     if (done.find(r) == done.end()) pending.push_back(r);
   }
-  result.resumed = static_cast<std::size_t>(cap) - pending.size();
 
   std::vector<double> values(pending.size());
+  std::vector<char> ran(pending.size(), 0);
   runtime::parallel_for_each(threads, pending.size(), [&](std::size_t t) {
     if (cancelled(cancel)) return;
     const int r = pending[t];
     cells[idx].fresh();
     stats::Rng rep_rng{core::campaign_repetition_seed(seed, idx, r)};
     values[t] = cells[idx].run_once(rep_rng);
+    ran[t] = 1;
   });
-  if (cancelled(cancel)) return result;
   for (std::size_t t = 0; t < pending.size(); ++t) {
+    if (!ran[t]) continue;
     result.lines.push_back(core::journal_line({idx, pending[t], values[t]}));
+    ++result.executed;
   }
-  result.executed = pending.size();
-  result.complete = true;
+  result.complete = result.executed == pending.size();
   return result;
 }
 

@@ -22,10 +22,10 @@ struct CellTaskResult {
   /// record inline after its triggering value) — what gets pushed back.
   std::vector<std::string> lines;
   /// The cell reached its stop point (cap or adaptive convergence); false
-  /// only on cooperative cancellation.
+  /// only on cooperative cancellation, in which case `lines` still holds
+  /// every repetition that finished before the flag was seen.
   bool complete = false;
   std::size_t executed = 0;
-  std::size_t resumed = 0;
 };
 
 /// Runs one campaign cell exactly as the equivalent single-node

@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <random>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -69,25 +69,6 @@ Executed execute_all(const scenario::ScenarioSpec& spec) {
     out.lines[cell] = result.lines;
   }
   return out;
-}
-
-TEST(ShardOf, DeterministicAndInRange) {
-  std::set<std::size_t> owners;
-  for (std::size_t cell = 0; cell < 64; ++cell) {
-    const std::size_t owner = shard_of("abc123-s7-v2", cell, 4);
-    EXPECT_LT(owner, 4u);
-    EXPECT_EQ(owner, shard_of("abc123-s7-v2", cell, 4));  // Stable.
-    owners.insert(owner);
-  }
-  // 64 cells over 4 shards: every shard owns something (the hash spreads).
-  EXPECT_EQ(owners.size(), 4u);
-  // Different entry keys shuffle the partition.
-  bool differs = false;
-  for (std::size_t cell = 0; cell < 64 && !differs; ++cell) {
-    differs = shard_of("abc123-s7-v2", cell, 4) != shard_of("other-s7-v2", cell, 4);
-  }
-  EXPECT_TRUE(differs);
-  EXPECT_EQ(shard_of("k", 3, 0), 0u);  // Degenerate shard count.
 }
 
 TEST(ShardPlan, MergeMatchesPushOrderIndependence) {
@@ -318,11 +299,43 @@ TEST(ShardPlan, ResumeLinesShipExactlyTheKnownPrefix) {
   task.resume_lines = resume;
   const CellTaskResult rest =
       run_cell_task(executed.cells, executed.options, spec.seed, task);
-  EXPECT_EQ(rest.resumed, 2u);
+  EXPECT_EQ(rest.lines.size(), 1u);
   EXPECT_EQ(rest.executed, 1u);
   const auto outcome = plan.push(0, rest.lines);
   EXPECT_EQ(outcome.duplicates, 0u);
   EXPECT_TRUE(outcome.cell_complete);
+}
+
+TEST(ShardCellTask, CancelledCellHandsBackFinishedRepetitions) {
+  // The cell raises the cancel flag from inside its 2nd repetition: that
+  // repetition still finishes, the 3rd never starts, and both finished
+  // repetitions come back as lines — the partial progress a SIGTERMed
+  // worker pushes.
+  std::atomic<bool> cancel{false};
+  int calls = 0;
+  std::vector<core::CampaignCell> cells(1);
+  cells[0].config = "c";
+  cells[0].treatment = "t";
+  cells[0].fresh = [] {};
+  cells[0].run_once = [&](stats::Rng& rng) {
+    if (++calls == 2) cancel.store(true);
+    return rng.uniform();
+  };
+  core::CampaignOptions options;
+  options.repetitions_per_cell = 5;
+
+  CellTask task;
+  const CellTaskResult result =
+      run_cell_task(cells, options, 7, task, /*threads=*/1, &cancel);
+  EXPECT_FALSE(result.complete);
+  EXPECT_EQ(result.executed, 2u);
+  ASSERT_EQ(result.lines.size(), 2u);
+  for (int r = 0; r < 2; ++r) {
+    JournalRecord record;
+    ASSERT_TRUE(core::parse_journal_line(result.lines[r], record));
+    EXPECT_EQ(record.cell, 0u);
+    EXPECT_EQ(record.rep, r);  // Ascending, like the serial journal.
+  }
 }
 
 }  // namespace

@@ -1,17 +1,22 @@
 // The shard coordinator inside ServerCore, driven hermetically over
 // in-memory transports: worker registration, pull/push assignment flow,
 // conflict rejection, worker death (reassignment and demotion to local
-// execution), and the blocking worker loop end to end. The invariant under
-// test everywhere: the GET response's summary is byte-identical to a
-// single-node run, no matter how the cells were distributed.
+// execution), shutdown with an open session, and the blocking worker loop
+// end to end across worker counts, thread counts, adaptive stopping and
+// warm starts. The invariant under test everywhere: the GET response's
+// summary — and the journal behind it — is byte-identical to a single-node
+// run, no matter how the cells were distributed.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -96,22 +101,36 @@ std::optional<Response> recv(ServerCore& core, TestClient& client,
   }
 }
 
-/// SHARD_PLAN with an inline spec: the canonical GET frame with its op
-/// swapped (the two ops share their addressing grammar).
-std::string shard_plan_frame(const ScenarioSpec& spec) {
-  std::string frame = get_request_frame(spec, std::nullopt);
-  const auto at = frame.find("\"GET\"");
-  EXPECT_NE(at, std::string::npos);
-  return frame.replace(at, 5, "\"SHARD_PLAN\"");
+ScenarioSpec adaptive_spec() {
+  ScenarioSpec spec;
+  spec.name = "shard-serve-adaptive";
+  spec.workloads = {{"hibench", "TS", std::nullopt}, {"hibench", "KM", std::nullopt}};
+  spec.budgets = {5000.0};
+  spec.engine.machine_noise_cv = 0.05;
+  spec.repetitions = 40;  // Cap; the stopping rule decides.
+  spec.confirm.enabled = true;
+  spec.confirm.adaptive = true;
+  spec.confirm.error_bound = 0.10;
+  spec.confirm.min_repetitions = 8;
+  return spec;
+}
+
+std::string slurp(const fs::path& path) {
+  std::ifstream in{path, std::ios::binary};
+  EXPECT_TRUE(in) << "missing " << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 class ShardServeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::path{::testing::TempDir()} /
-            ("cloudrepro-shardserve-" +
-             std::string{
-                 ::testing::UnitTest::GetInstance()->current_test_info()->name()});
+    // Parameterized names ("...Bytes/w2_t4") carry a '/', which must not nest.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '-');
+    root_ = fs::path{::testing::TempDir()} / ("cloudrepro-shardserve-" + name);
     fs::remove_all(root_);
     store_.emplace(root_ / "cache", &metrics_);
   }
@@ -126,12 +145,23 @@ class ShardServeTest : public ::testing::Test {
     return *core_;
   }
 
-  std::string reference_summary(const ScenarioSpec& spec) {
+  /// Serial single-node reference: summary and journal bytes.
+  struct Reference {
+    std::string summary;
+    std::string journal;
+  };
+  Reference reference(const ScenarioSpec& spec) {
     ResultStore store{root_ / "reference"};
     scenario::RunOptions options;
     options.threads = 1;
     options.store = &store;
-    return scenario::run_scenario(spec, options).summary;
+    Reference ref;
+    ref.summary = scenario::run_scenario(spec, options).summary;
+    ref.journal = slurp(store.journal_path(spec, spec.seed));
+    return ref;
+  }
+  std::string reference_summary(const ScenarioSpec& spec) {
+    return reference(spec).summary;
   }
 
   /// Registers `client` as a worker: one SHARD_PULL, expecting idle.
@@ -166,7 +196,7 @@ class ShardServeTest : public ::testing::Test {
     EXPECT_TRUE(result.complete);
     send(core(), client,
          shard_push_request_frame(name, assignment.key, assignment.cell,
-                                  result.lines, result.complete, 0.01));
+                                  result.lines, 0.01));
     const auto response = recv(core(), client);
     EXPECT_TRUE(response && response->ok);
     return parse_shard_push_response(response->body);
@@ -196,15 +226,9 @@ TEST_F(ShardServeTest, PullPushFlowServesByteIdenticalSummary) {
   TestClient worker = connect(core());
   register_worker(worker, "w1");
 
-  // Before any GET: SHARD_PLAN reports the campaign idle but the worker
-  // registered.
-  send(core(), worker, shard_plan_frame(spec));
-  auto plan_response = recv(core(), worker);
-  ASSERT_TRUE(plan_response && plan_response->ok);
-  ShardPlanInfo info = parse_shard_plan_response(plan_response->body);
-  EXPECT_EQ(info.state, "idle");
-  EXPECT_EQ(info.workers, 1u);
-  EXPECT_EQ(info.cells, 4u);
+  // Before any GET: the worker is registered and nothing is published.
+  EXPECT_EQ(metrics_.gauge("shard.workers").value(), 1.0);
+  EXPECT_FALSE(store_->has_summary(spec, spec.seed));
 
   // The GET is the sole admission path; with a worker connected the leader
   // opens a shard session instead of executing locally.
@@ -219,12 +243,8 @@ TEST_F(ShardServeTest, PullPushFlowServesByteIdenticalSummary) {
   EXPECT_EQ(get->hit, "partial");
   EXPECT_EQ(get->summary, reference_summary(spec));
 
-  // Post-completion introspection and accounting.
-  send(core(), worker, shard_plan_frame(spec));
-  plan_response = recv(core(), worker);
-  ASSERT_TRUE(plan_response && plan_response->ok);
-  info = parse_shard_plan_response(plan_response->body);
-  EXPECT_EQ(info.state, "complete");
+  // Post-completion state and accounting.
+  EXPECT_TRUE(store_->has_summary(spec, spec.seed));
   EXPECT_EQ(metrics_.counter("shard.sessions_opened").value(), 1.0);
   EXPECT_EQ(metrics_.counter("shard.sessions_finalized").value(), 1.0);
   EXPECT_EQ(metrics_.counter("shard.cells_completed").value(), 4.0);
@@ -260,7 +280,7 @@ TEST_F(ShardServeTest, ConflictingPushIsTypedRejectionAndSessionSurvives) {
   const auto result = shard::run_cell_task(cells, options, assignment->seed, task);
   send(core(), worker,
        shard_push_request_frame("w1", assignment->key, assignment->cell,
-                                {result.lines[0]}, false, 0.0));
+                                {result.lines[0]}, 0.0));
   auto ack_response = recv(core(), worker);
   ASSERT_TRUE(ack_response && ack_response->ok);
 
@@ -269,7 +289,7 @@ TEST_F(ShardServeTest, ConflictingPushIsTypedRejectionAndSessionSurvives) {
   record.value += 1.0;
   send(core(), worker,
        shard_push_request_frame("w1", assignment->key, assignment->cell,
-                                {core::journal_line(record)}, false, 0.0));
+                                {core::journal_line(record)}, 0.0));
   const auto rejection = recv(core(), worker);
   ASSERT_TRUE(rejection);
   EXPECT_FALSE(rejection->ok);
@@ -344,11 +364,47 @@ TEST_F(ShardServeTest, LastWorkerDeathDemotesToLocalExecution) {
   EXPECT_EQ(metrics_.counter("shard.cells_completed").value(), 1.0);
 }
 
+TEST_F(ShardServeTest, ShutdownWithOpenSessionInterruptsAndResumes) {
+  const auto spec = tiny_spec();
+  TestClient worker = connect(core());
+  register_worker(worker, "w1");
+  TestClient client = connect(core());
+  send(core(), client, get_request_frame(spec, std::nullopt));
+
+  std::optional<ShardAssignment> assignment;
+  for (int i = 0; i < 50 && !assignment; ++i) {
+    assignment = pull(worker, "w1");
+    if (!assignment) core().poll_once();
+  }
+  ASSERT_TRUE(assignment);
+  execute_and_push(worker, "w1", *assignment);
+
+  // Shutdown with the session still open: the partial journal is persisted
+  // and the replay run sees the cancel flag, so the waiting GET is told
+  // "interrupted" and nothing is published.
+  core().begin_shutdown();
+  const auto get = recv(core(), client);
+  ASSERT_TRUE(get);
+  EXPECT_FALSE(get->ok);
+  EXPECT_EQ(get->error_code, "interrupted");
+  EXPECT_FALSE(store_->has_summary(spec, spec.seed));
+
+  // The pushed cell survived: a later single-node run resumes it and lands
+  // on the reference bytes.
+  scenario::RunOptions options;
+  options.threads = 1;
+  options.store = &*store_;
+  const auto resumed = scenario::run_scenario(spec, options);
+  EXPECT_TRUE(resumed.complete);
+  EXPECT_GE(resumed.resumed_measurements, 3u);
+  EXPECT_EQ(resumed.summary, reference_summary(spec));
+}
+
 TEST_F(ShardServeTest, PushForUnknownSessionIsTypedError) {
   TestClient worker = connect(core());
   register_worker(worker, "w1");
   send(core(), worker,
-       shard_push_request_frame("w1", "no-such-session", 0, {}, true, 0.0));
+       shard_push_request_frame("w1", "no-such-session", 0, {}, 0.0));
   const auto response = recv(core(), worker);
   ASSERT_TRUE(response);
   EXPECT_FALSE(response->ok);
@@ -415,6 +471,132 @@ TEST_F(ShardServeTest, RunWorkerLoopEndToEnd) {
   EXPECT_EQ(stats_a.cells_completed + stats_b.cells_completed, 4u);
   EXPECT_GT(stats_a.records_pushed + stats_b.records_pushed, 0u);
 }
+
+/// One distributed run through real `run_worker` loops: `workers` loops at
+/// `threads` measurement threads each, optionally over a coordinator store
+/// that already holds a single-node journal cut after 5 measurements.
+struct MatrixCase {
+  const char* name;
+  bool adaptive = false;
+  std::size_t workers = 1;
+  int threads = 1;
+  bool warm = false;
+};
+
+// Keeps the printed parameter (and so the registered test name) readable.
+void PrintTo(const MatrixCase& param, std::ostream* os) { *os << param.name; }
+
+class ShardServeMatrixTest : public ShardServeTest,
+                             public ::testing::WithParamInterface<MatrixCase> {};
+
+TEST_P(ShardServeMatrixTest, MatchesSerialSummaryAndJournalBytes) {
+  const MatrixCase& param = GetParam();
+  const ScenarioSpec spec = param.adaptive ? adaptive_spec() : tiny_spec();
+  const Reference ref = reference(spec);
+
+  if (param.warm) {
+    scenario::RunOptions partial;
+    partial.threads = 1;
+    partial.store = &*store_;
+    partial.max_measurements = 5;
+    ASSERT_FALSE(scenario::run_scenario(spec, partial).complete);
+  }
+
+  ServeOptions serve_options;
+  serve_options.worker_retry_ms = 1;
+  ServerCore& server = core(serve_options);
+  // Every connection is added before the reactor thread starts (ServerCore
+  // is reactor-thread-only).
+  std::vector<std::unique_ptr<MemoryTransport>> worker_ends;
+  for (std::size_t w = 0; w < param.workers; ++w) {
+    auto [client_end, server_end] = make_memory_pair();
+    server.add_connection(std::move(server_end));
+    worker_ends.push_back(std::move(client_end));
+  }
+  auto [get_end, get_server_end] = make_memory_pair();
+  server.add_connection(std::move(get_server_end));
+
+  std::atomic<bool> stop{false};
+  std::thread reactor{[&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (!server.poll_once()) server.wait_activity(std::chrono::milliseconds{1});
+    }
+  }};
+  std::atomic<bool> cancel{false};
+  std::vector<std::thread> workers;
+  for (std::size_t w = 0; w < param.workers; ++w) {
+    workers.emplace_back([&, w, transport = std::move(worker_ends[w])]() mutable {
+      WorkerOptions options;
+      options.name = "worker-" + std::to_string(w);
+      options.threads = param.threads;
+      options.idle_sleep_ms = 1;
+      options.cancel = &cancel;
+      try {
+        run_worker(std::move(transport), options);
+      } catch (const std::exception& error) {
+        ADD_FAILURE() << options.name << ": " << error.what();
+      }
+    });
+  }
+
+  // Every worker registers before the GET, or the leader would execute the
+  // campaign locally instead of opening a shard session.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{30};
+  while (metrics_.gauge("shard.workers").value() <
+             static_cast<double>(param.workers) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  }
+  EXPECT_EQ(metrics_.gauge("shard.workers").value(),
+            static_cast<double>(param.workers));
+
+  // The threads are joined on every path, so a failed GET is recorded
+  // rather than thrown past them.
+  Response cold;
+  Response warm;
+  try {
+    FetchClient fetch{std::move(get_end)};
+    cold = fetch.get(spec);
+    warm = fetch.get(spec);
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << "GET failed: " << error.what();
+  }
+  cancel.store(true);
+  for (auto& worker : workers) worker.join();
+  stop.store(true);
+  reactor.join();
+
+  ASSERT_TRUE(cold.ok) << cold.error_code << ": " << cold.error_message;
+  EXPECT_EQ(cold.summary, ref.summary);
+  EXPECT_EQ(slurp(store_->journal_path(spec, spec.seed)), ref.journal);
+  EXPECT_EQ(metrics_.counter("shard.sessions_finalized").value(), 1.0);
+  // Every record reached the coordinator exactly once; a warm start ships
+  // its 5 journaled measurements as resume lines instead of re-running them.
+  const auto records = static_cast<double>(
+      std::count(ref.journal.begin(), ref.journal.end(), '\n') - 1);
+  EXPECT_EQ(metrics_.counter("shard.records_accepted").value(),
+            records - (param.warm ? 5.0 : 0.0));
+  EXPECT_EQ(metrics_.counter("shard.records_duplicate").value(), 0.0);
+  ASSERT_TRUE(warm.ok);
+  EXPECT_EQ(warm.hit, "hit");
+  EXPECT_EQ(warm.summary, ref.summary);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, ShardServeMatrixTest,
+    ::testing::Values(MatrixCase{"w1_t1", false, 1, 1},
+                      MatrixCase{"w1_t4", false, 1, 4},
+                      MatrixCase{"w2_t1", false, 2, 1},
+                      MatrixCase{"w2_t4", false, 2, 4},
+                      MatrixCase{"w4_t1", false, 4, 1},
+                      MatrixCase{"w4_t4", false, 4, 4},
+                      MatrixCase{"adaptive_w2", true, 2, 1},
+                      MatrixCase{"adaptive_w3", true, 3, 1},
+                      MatrixCase{"warm_w4", false, 4, 1, true},
+                      MatrixCase{"warm_adaptive_w2", true, 2, 1, true}),
+    [](const ::testing::TestParamInfo<MatrixCase>& info) {
+      return std::string{info.param.name};
+    });
 
 TEST_F(ShardServeTest, FetchTimesOutAgainstPeerThatNeverDelivers) {
   // The connection opens but the "server" never reads or writes — the
