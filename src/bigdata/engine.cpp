@@ -23,17 +23,34 @@ constexpr double kTimeEpsilon = 1e-9;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Makespan of `tasks` lognormally-jittered tasks greedily packed onto
-/// `cores` cores (list scheduling).
+/// `cores` cores (list scheduling: each task goes to the least-loaded core,
+/// the lowest index on ties). `core_load` is caller-owned scratch.
 double compute_makespan(int tasks, int cores, double mean_s, double cv,
-                        stats::Rng& rng) {
+                        stats::Rng& rng, std::vector<double>& core_load) {
   if (tasks <= 0) return 0.0;
   // Lognormal with the requested mean and coefficient of variation.
   const double sigma2 = std::log(1.0 + cv * cv);
   const double mu = std::log(mean_s) - sigma2 / 2.0;
-  std::vector<double> core_load(static_cast<std::size_t>(cores), 0.0);
-  for (int t = 0; t < tasks; ++t) {
-    auto it = std::min_element(core_load.begin(), core_load.end());
-    *it += rng.lognormal(mu, std::sqrt(sigma2));
+  const double sigma = std::sqrt(sigma2);
+  core_load.assign(static_cast<std::size_t>(cores), 0.0);
+  // While idle cores remain, the least-loaded core is the next idle one:
+  // every busy core holds a positive draw (an exp), and the lowest-index
+  // tie rule picks idle cores in index order.
+  const int first_wave = std::min(tasks, cores);
+  for (int t = 0; t < first_wave; ++t) {
+    core_load[static_cast<std::size_t>(t)] += rng.lognormal(mu, sigma);
+  }
+  for (int t = first_wave; t < tasks; ++t) {
+    // std::min_element's rule: strict <, so the first minimum wins.
+    std::size_t least = 0;
+    double least_load = core_load[0];
+    for (std::size_t c = 1; c < core_load.size(); ++c) {
+      if (core_load[c] < least_load) {
+        least_load = core_load[c];
+        least = c;
+      }
+    }
+    core_load[least] += rng.lognormal(mu, sigma);
   }
   return *std::max_element(core_load.begin(), core_load.end());
 }
@@ -162,6 +179,8 @@ class JobExecution {
       throw std::runtime_error{
           "SparkEngine: fewer than 2 healthy nodes at job submission"};
     }
+    // Each stage's all-to-all shuffle starts at most n x (n - 1) flows.
+    net_.reserve_flows(workload_.stages.size() * n_ * (n_ - 1));
     for (const auto& stage : workload_.stages) run_stage(stage);
     finalize();
     return std::move(result_);
@@ -215,7 +234,8 @@ class JobExecution {
     for (const std::size_t i : stage_workers) {
       double makespan =
           node_speed_[i] * compute_makespan(stage.tasks_per_node, cluster_.cores_per_node(),
-                                            stage.compute_s_mean, stage.compute_s_cv, rng_);
+                                            stage.compute_s_mean, stage.compute_s_cv, rng_,
+                                            core_load_);
       if (cluster_.node(i).cpu.has_value()) {
         makespan = cluster_.node(i).cpu->run_compute(makespan);
       }
@@ -465,7 +485,8 @@ class JobExecution {
           cluster_.cores_per_node() * static_cast<int>(surv.size());
       const double redo =
           compute_makespan(st_.profile->tasks_per_node, surv_cores,
-                           st_.profile->compute_s_mean, st_.profile->compute_s_cv, rng_);
+                           st_.profile->compute_s_mean, st_.profile->compute_s_cv, rng_,
+                           core_load_);
       st_.compute_end = std::max(st_.compute_end, net_.now() + delay + redo);
     }
     if (resend_gbit > 0.0) {
@@ -651,6 +672,7 @@ class JobExecution {
   std::vector<char> draining_;
   std::vector<double> node_speed_;
   std::vector<double> makespans_;
+  std::vector<double> core_load_;  ///< compute_makespan's scratch.
   StageState st_;
   std::vector<PendingResend> resends_;
   std::size_t stage_idx_ = 0;

@@ -105,6 +105,11 @@ FlowId FluidNetwork::start_flow(NodeId src, NodeId dst, double gbit) {
   return flows_.size() - 1;
 }
 
+void FluidNetwork::reserve_flows(std::size_t n) {
+  flows_.reserve(n);
+  active_slot_.reserve(n);
+}
+
 void FluidNetwork::stop_flow(FlowId id) {
   Flow& f = flows_.at(id);
   if (!f.active) return;
@@ -216,39 +221,36 @@ double FluidNetwork::node_ingress_rate(NodeId id) const {
   return ingress_rate_.at(id);
 }
 
-void FluidNetwork::allocate_rates() {
+double FluidNetwork::allocate_rates() {
   // Progressive filling: raise all unfrozen flow rates in lockstep; freeze
   // the flows crossing each constraint as it saturates.
   const std::size_t n_nodes = nodes_.size();
-  std::vector<double> egress_left(n_nodes);
-  std::vector<double> ingress_left(n_nodes);
+  egress_left_.resize(n_nodes);
+  ingress_left_.resize(n_nodes);
+  egress_users_.assign(n_nodes, 0);
+  ingress_users_.assign(n_nodes, 0);
   for (std::size_t i = 0; i < n_nodes; ++i) {
-    egress_left[i] = nodes_[i].egress->allowed_rate() * nodes_[i].rate_factor;
-    ingress_left[i] = nodes_[i].ingress_cap_gbps * nodes_[i].rate_factor;
+    egress_left_[i] = nodes_[i].egress->allowed_rate() * nodes_[i].rate_factor;
+    ingress_left_[i] = nodes_[i].ingress_cap_gbps * nodes_[i].rate_factor;
   }
-
-  std::vector<FlowId> unfrozen;
-  unfrozen.reserve(active_ids_.size());
+  unfrozen_.assign(active_ids_.begin(), active_ids_.end());
   for (const FlowId id : active_ids_) {
-    flows_[id].rate_gbps = 0.0;
-    unfrozen.push_back(id);
+    ++egress_users_[flows_[id].src];
+    ++ingress_users_[flows_[id].dst];
   }
 
-  while (!unfrozen.empty()) {
-    std::vector<std::size_t> egress_users(n_nodes, 0);
-    std::vector<std::size_t> ingress_users(n_nodes, 0);
-    for (const FlowId id : unfrozen) {
-      ++egress_users[flows_[id].src];
-      ++ingress_users[flows_[id].dst];
-    }
-
+  // Every unfrozen flow's rate is 0 plus the same deltas in the same order,
+  // so one running `level` holds it bit for bit; a flow's rate is written
+  // once, as the level at which it freezes.
+  double level = 0.0;
+  while (!unfrozen_.empty()) {
     double delta = kInfiniteBytes;
     for (std::size_t i = 0; i < n_nodes; ++i) {
-      if (egress_users[i] > 0 && std::isfinite(egress_left[i])) {
-        delta = std::min(delta, egress_left[i] / static_cast<double>(egress_users[i]));
+      if (egress_users_[i] > 0 && std::isfinite(egress_left_[i])) {
+        delta = std::min(delta, egress_left_[i] / static_cast<double>(egress_users_[i]));
       }
-      if (ingress_users[i] > 0 && std::isfinite(ingress_left[i])) {
-        delta = std::min(delta, ingress_left[i] / static_cast<double>(ingress_users[i]));
+      if (ingress_users_[i] > 0 && std::isfinite(ingress_left_[i])) {
+        delta = std::min(delta, ingress_left_[i] / static_cast<double>(ingress_users_[i]));
       }
     }
     if (!std::isfinite(delta)) {
@@ -257,37 +259,52 @@ void FluidNetwork::allocate_rates() {
       throw std::runtime_error{"FluidNetwork::allocate_rates: unconstrained flow set"};
     }
 
-    for (const FlowId id : unfrozen) {
-      flows_[id].rate_gbps += delta;
-    }
+    level += delta;
     for (std::size_t i = 0; i < n_nodes; ++i) {
-      egress_left[i] -= delta * static_cast<double>(egress_users[i]);
-      ingress_left[i] -= delta * static_cast<double>(ingress_users[i]);
+      egress_left_[i] -= delta * static_cast<double>(egress_users_[i]);
+      ingress_left_[i] -= delta * static_cast<double>(ingress_users_[i]);
     }
 
-    std::vector<FlowId> still_unfrozen;
-    still_unfrozen.reserve(unfrozen.size());
-    for (const FlowId id : unfrozen) {
-      const bool saturated = egress_left[flows_[id].src] <= kBytesEpsilon ||
-                             ingress_left[flows_[id].dst] <= kBytesEpsilon;
-      if (!saturated) still_unfrozen.push_back(id);
+    // Freezing a flow drops it from its nodes' user counts, which leaves
+    // them equal to a recount over the flows still unfrozen.
+    std::size_t kept = 0;
+    for (const FlowId id : unfrozen_) {
+      Flow& f = flows_[id];
+      if (egress_left_[f.src] <= kBytesEpsilon || ingress_left_[f.dst] <= kBytesEpsilon) {
+        f.rate_gbps = level;
+        --egress_users_[f.src];
+        --ingress_users_[f.dst];
+      } else {
+        unfrozen_[kept++] = id;
+      }
     }
-    if (still_unfrozen.size() == unfrozen.size()) {
-      // Numerical stall: freeze everything crossing the tightest constraint.
+    if (kept == unfrozen_.size()) {
+      // Numerical stall: no constraint reached kBytesEpsilon, so nothing
+      // froze this round. Freeze every remaining flow at the current level.
       break;
     }
-    unfrozen.swap(still_unfrozen);
+    unfrozen_.resize(kept);
   }
+  for (const FlowId id : unfrozen_) flows_[id].rate_gbps = level;
 
-  // Rebuild the per-node aggregate caches. Iterating active_ids_ in order
-  // accumulates each node's sum in the same order the removed per-query
-  // scan did, so cached values are bit-identical to a rescan here.
+  // Rebuild the per-node aggregate caches and find the first finite-flow
+  // completion. The sums run in active_ids_ order on purpose: floating-point
+  // addition does not associate, and every QoS advance and timeline sample
+  // reads these sums, so another order would move the last bits of the
+  // simulated runtimes.
   std::fill(egress_rate_.begin(), egress_rate_.end(), 0.0);
   std::fill(ingress_rate_.begin(), ingress_rate_.end(), 0.0);
+  double first_completion = kInfiniteBytes;
   for (const FlowId id : active_ids_) {
     const Flow& f = flows_[id];
     egress_rate_[f.src] += f.rate_gbps;
     ingress_rate_[f.dst] += f.rate_gbps;
+    // Only goodput completes the flow: under a loss burst a fraction of the
+    // wire rate is retransmitted bytes that make no forward progress.
+    const double goodput = f.rate_gbps * (1.0 - nodes_[f.src].loss_fraction);
+    if (std::isfinite(f.remaining_gbit) && goodput > 0.0) {
+      first_completion = std::min(first_completion, f.remaining_gbit / goodput);
+    }
   }
 
   CLOUDREPRO_OBS_STMT(
@@ -297,21 +314,12 @@ void FluidNetwork::allocate_rates() {
                          {"active_flows", static_cast<double>(active_ids_.size())},
                          {}, 0, 1);
       })
+  return first_completion;
 }
 
 void FluidNetwork::step_once(double t_bound) {
-  allocate_rates();
-
-  double dt = t_bound - now_;
-  for (const FlowId fid : active_ids_) {
-    const Flow& f = flows_[fid];
-    // Only goodput completes the flow: under a loss burst a fraction of the
-    // wire rate is retransmitted bytes that make no forward progress.
-    const double goodput = f.rate_gbps * (1.0 - nodes_[f.src].loss_fraction);
-    if (std::isfinite(f.remaining_gbit) && goodput > 0.0) {
-      dt = std::min(dt, f.remaining_gbit / goodput);
-    }
-  }
+  const double first_completion = allocate_rates();
+  double dt = std::min(t_bound - now_, first_completion);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     dt = std::min(dt, nodes_[i].egress->time_until_change(node_egress_rate(i)));
   }
@@ -325,30 +333,32 @@ void FluidNetwork::step_once(double t_bound) {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     nodes_[i].egress->advance(dt, node_egress_rate(i));
   }
-  for (const FlowId fid : active_ids_) {
-    Flow& f = flows_[fid];
+  completed_slots_.clear();
+  for (std::size_t slot = 0; slot < active_ids_.size(); ++slot) {
+    Flow& f = flows_[active_ids_[slot]];
     const double loss = nodes_[f.src].loss_fraction;
     const double moved = f.rate_gbps * (1.0 - loss) * dt;
     nodes_[f.src].retransmitted_gbit += f.rate_gbps * loss * dt;
     f.transferred_gbit += moved;
     if (std::isfinite(f.remaining_gbit)) {
       f.remaining_gbit -= moved;
+      if (f.remaining_gbit <= kBytesEpsilon) completed_slots_.push_back(slot);
     }
   }
   now_ += dt;
 
   if (observer_) observer_(*this, now_, dt);
 
-  for (std::size_t i = active_ids_.size(); i-- > 0;) {
-    const FlowId fid = active_ids_[i];
-    Flow& f = flows_[fid];
-    if (std::isfinite(f.remaining_gbit) && f.remaining_gbit <= kBytesEpsilon) {
-      remove_active_at(i);
-      f.remaining_gbit = 0.0;
-      f.active = false;
-      f.end_time = now_;
-      f.rate_gbps = 0.0;
-    }
+  // Descending slot order: a swap-erase only moves the last id, which sits
+  // above every slot still to go, so each removal hits the flow it noted.
+  // The rate caches are decremented in that same order.
+  for (auto it = completed_slots_.rbegin(); it != completed_slots_.rend(); ++it) {
+    Flow& f = flows_[active_ids_[*it]];
+    remove_active_at(*it);
+    f.remaining_gbit = 0.0;
+    f.active = false;
+    f.end_time = now_;
+    f.rate_gbps = 0.0;
   }
 }
 

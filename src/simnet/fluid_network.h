@@ -62,6 +62,10 @@ class FluidNetwork {
   /// Starts a transfer of `gbit` (default: open-ended) from src to dst.
   FlowId start_flow(NodeId src, NodeId dst, double gbit = kInfiniteBytes);
 
+  /// Reserves room for `n` flow records, so a caller that knows how many
+  /// flows it will start pays no reallocation while starting them.
+  void reserve_flows(std::size_t n);
+
   /// Stops an open-ended flow (no-op if already complete).
   void stop_flow(FlowId id);
 
@@ -146,8 +150,10 @@ class FluidNetwork {
   };
 
   /// Computes the max-min fair allocation for all active flows
-  /// (progressive filling) and rebuilds the per-node rate caches.
-  void allocate_rates();
+  /// (progressive filling) and rebuilds the per-node rate caches. Returns
+  /// the time until the first finite flow completes at the new rates
+  /// (+inf when none makes progress).
+  double allocate_rates();
 
   /// Advances one event step, never past `t_bound`.
   void step_once(double t_bound);
@@ -179,6 +185,15 @@ class FluidNetwork {
   /// flows) — they are called per node per event step.
   std::vector<double> egress_rate_;
   std::vector<double> ingress_rate_;
+  /// Scratch for `allocate_rates` and `step_once`, kept across steps so a
+  /// step allocates nothing: capacity left and unfrozen-flow count per node,
+  /// the unfrozen flow ids, and the active slots a step completed.
+  std::vector<double> egress_left_;
+  std::vector<double> ingress_left_;
+  std::vector<std::size_t> egress_users_;
+  std::vector<std::size_t> ingress_users_;
+  std::vector<FlowId> unfrozen_;
+  std::vector<std::size_t> completed_slots_;
   double now_ = 0.0;
   StepObserver observer_;
 
