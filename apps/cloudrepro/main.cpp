@@ -107,10 +107,13 @@ int usage(std::ostream& os, int code) {
         "                           its quantile-CI relative half-width meets the\n"
         "                           scenario's confirm.error_bound (repetitions\n"
         "                           becomes a cap); changes the content hash, so it\n"
-        "                           caches separately (run / suite / describe)\n"
+        "                           caches separately (run / suite / describe /\n"
+        "                           cache evict)\n"
         "  --error-bound B          override confirm.error_bound (implies --adaptive)\n"
         "  --out FILE               write the summary to FILE instead of stdout\n"
-        "  --csv FILE               write config,treatment,repetition,value CSV\n"
+        "  --csv FILE               write config,treatment,repetition,value CSV; for\n"
+        "                           suite, one file with every member's rows under\n"
+        "                           a leading scenario column\n"
         "\n"
         "options (serve):\n"
         "  --listen HOST:PORT       bind address (default 127.0.0.1:9119;\n"
@@ -399,10 +402,7 @@ void emit(const std::string& out_path, const std::string& payload) {
   out << payload << "\n";
 }
 
-/// Runs one scenario and streams its summary. Returns 0 (complete) or
-/// 3 (interrupted, resumable).
-int run_one(const ScenarioSpec& spec, const Cli& cli, ResultStore* store,
-            std::ostream* summary_line_os) {
+RunOptions run_options(const Cli& cli, ResultStore* store) {
   RunOptions options;
   options.threads = cli.threads;
   options.seed = cli.seed;
@@ -410,30 +410,66 @@ int run_one(const ScenarioSpec& spec, const Cli& cli, ResultStore* store,
   options.max_measurements = cli.max_measurements;
   options.need_values = !cli.csv_path.empty();
   options.cancel = &g_cancel;
+  return options;
+}
 
-  const std::uint64_t seed = cli.seed.value_or(spec.seed);
-  std::cerr << "cloudrepro: " << spec.name << " hash=" << spec.content_hash()
-            << " seed=" << seed << "\n";
-
-  const auto result = cloudrepro::scenario::run_scenario(spec, options);
-
-  std::cerr << "cloudrepro: cache " << ResultStore::to_string(result.hit_state)
-            << (store ? "" : " (disabled)") << ", executed "
-            << result.executed_measurements << ", resumed "
-            << result.resumed_measurements << " of " << result.total_measurements
-            << " measurements\n";
-
-  if (!cli.csv_path.empty()) {
-    std::ofstream csv{cli.csv_path, std::ios::binary | std::ios::trunc};
-    if (!csv) throw std::runtime_error{"cannot write \"" + cli.csv_path + "\""};
-    result.campaign.write_csv(csv);
+/// Reports the scenarios of a `run` or `suite`: their operational lines on
+/// stderr and, with --csv, their values. The CSV file is opened once: a
+/// suite writes every member's rows under one header, each led by the
+/// member's scenario name.
+class Reporter {
+ public:
+  Reporter(const Cli& cli, bool cache_enabled, bool suite)
+      : cli_(cli), cache_enabled_(cache_enabled), suite_(suite) {
+    if (cli.csv_path.empty()) return;
+    csv_.open(cli.csv_path, std::ios::binary | std::ios::trunc);
+    if (!csv_) throw std::runtime_error{"cannot write \"" + cli.csv_path + "\""};
   }
 
-  if (summary_line_os) {
-    *summary_line_os << result.summary << "\n";
-  } else {
-    emit(cli.out_path, result.summary);
+  void started(const ScenarioSpec& spec) const {
+    std::cerr << "cloudrepro: " << spec.name << " hash=" << spec.content_hash()
+              << " seed=" << cli_.seed.value_or(spec.seed) << "\n";
   }
+
+  void finished(const ScenarioSpec& spec,
+                const cloudrepro::scenario::ScenarioRunResult& result) {
+    std::cerr << "cloudrepro: cache " << ResultStore::to_string(result.hit_state)
+              << (cache_enabled_ ? "" : " (disabled)") << ", executed "
+              << result.executed_measurements << ", resumed "
+              << result.resumed_measurements << " of "
+              << result.total_measurements << " measurements\n";
+    if (!csv_.is_open()) return;
+    if (!suite_) {
+      result.campaign.write_csv(csv_);
+      return;
+    }
+    std::ostringstream text;
+    result.campaign.write_csv(text);
+    std::istringstream rows{text.str()};
+    std::string line;
+    std::getline(rows, line);  // The header.
+    if (!wrote_header_) csv_ << "scenario," << line << "\n";
+    wrote_header_ = true;
+    while (std::getline(rows, line)) csv_ << spec.name << ',' << line << "\n";
+  }
+
+ private:
+  const Cli& cli_;
+  bool cache_enabled_;
+  bool suite_;
+  std::ofstream csv_;
+  bool wrote_header_ = false;
+};
+
+/// Runs one scenario and emits its summary. Returns 0 (complete) or 3
+/// (interrupted, resumable).
+int run_one(const ScenarioSpec& spec, const Cli& cli, ResultStore* store) {
+  Reporter report{cli, store != nullptr, /*suite=*/false};
+  report.started(spec);
+  const auto result =
+      cloudrepro::scenario::run_scenario(spec, run_options(cli, store));
+  report.finished(spec, result);
+  emit(cli.out_path, result.summary);
 
   if (!result.complete) {
     if (g_signal != 0) {
@@ -500,7 +536,7 @@ int cmd_run(const Cli& cli) {
       apply_overrides(resolve_scenario(cli.positional.front()), cli);
   std::optional<ResultStore> store;
   if (!cli.no_cache) store.emplace(make_store(cli));
-  return run_one(spec, cli, store ? &*store : nullptr, nullptr);
+  return run_one(spec, cli, store ? &*store : nullptr);
 }
 
 int cmd_suite(const Cli& cli) {
@@ -535,35 +571,18 @@ int cmd_suite(const Cli& cli) {
   }
   std::ostream& sink = cli.out_path.empty() ? std::cout : out_file;
 
-  RunOptions options;
-  options.threads = cli.threads;
-  options.seed = cli.seed;
-  options.store = store ? &*store : nullptr;
-  options.max_measurements = cli.max_measurements;
-  options.need_values = !cli.csv_path.empty();
-  options.cancel = &g_cancel;
-
   int rc = 0;
-  const auto report = [&](std::size_t i,
-                          const cloudrepro::scenario::ScenarioRunResult& result) {
-    const ScenarioSpec& spec = specs[i];
-    std::cerr << "cloudrepro: " << spec.name << " hash=" << spec.content_hash()
-              << " seed=" << cli.seed.value_or(spec.seed) << "\n";
-    std::cerr << "cloudrepro: cache " << ResultStore::to_string(result.hit_state)
-              << (store ? "" : " (disabled)") << ", executed "
-              << result.executed_measurements << ", resumed "
-              << result.resumed_measurements << " of "
-              << result.total_measurements << " measurements\n";
-    if (!cli.csv_path.empty()) {
-      std::ofstream csv{cli.csv_path, std::ios::binary | std::ios::trunc};
-      if (!csv) throw std::runtime_error{"cannot write \"" + cli.csv_path + "\""};
-      result.campaign.write_csv(csv);
-    }
-    sink << result.summary << "\n" << std::flush;
-    if (!result.complete) rc = 3;
-  };
+  Reporter report{cli, store.has_value(), /*suite=*/true};
+  const auto on_member =
+      [&](std::size_t i, const cloudrepro::scenario::ScenarioRunResult& result) {
+        report.started(specs[i]);
+        report.finished(specs[i], result);
+        sink << result.summary << "\n" << std::flush;
+        if (!result.complete) rc = 3;
+      };
 
-  cloudrepro::scenario::run_suite(specs, options, report);
+  cloudrepro::scenario::run_suite(specs, run_options(cli, store ? &*store : nullptr),
+                                  on_member);
   if (g_cancel.load(std::memory_order_relaxed)) {
     std::cerr << "cloudrepro: suite interrupted; rerun to resume from the "
                  "cache\n";
@@ -612,7 +631,8 @@ int cmd_cache(const Cli& cli) {
       std::cerr << "cloudrepro: cache evict needs exactly one scenario\n";
       return 2;
     }
-    const ScenarioSpec spec = resolve_scenario(cli.positional[1]);
+    const ScenarioSpec spec =
+        apply_overrides(resolve_scenario(cli.positional[1]), cli);
     const auto removed = store.evict(spec, cli.seed.value_or(spec.seed));
     std::cerr << "cloudrepro: evicted " << removed << " entries\n";
     return 0;

@@ -50,21 +50,210 @@ struct CampaignTask {
   int count = 0;
 };
 
-enum SlotState : char { kMissing, kReplayed, kMeasured };
+/// The task loop's instrumentation: per-measurement spans and counters,
+/// stamped in wall seconds since `t0`. Null sinks record nothing.
+struct TaskObs {
+  obs::Tracer* tracer = nullptr;
+  obs::Histogram* cell_wall = nullptr;
+  obs::Histogram* queue_depth = nullptr;
+  obs::Counter* executed = nullptr;
+  std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
 
-/// One cell's values by repetition index: replayed from the journal before
-/// any task runs, or filled in by the task that measured them. Because
-/// every value lands in its own slot, the assembled result does not depend
-/// on the order tasks finish in.
-struct CellSlots {
-  std::vector<double> values;
-  std::vector<SlotState> state;
-  bool stop_journaled = false;
-  bool converged = false;
-  std::size_t stop_repetitions = 0;
+  TaskObs(obs::Tracer* tracer_, obs::MetricsRegistry* metrics) : tracer(tracer_) {
+    if (metrics) {
+      cell_wall = &metrics->histogram("campaign.cell_wall_s");
+      queue_depth = &metrics->histogram("campaign.journal_queue_depth");
+      executed = &metrics->counter("campaign.measurements_executed");
+    }
+  }
+
+  double wall_s() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+        .count();
+  }
 };
 
+bool run_tasks(const std::vector<CampaignCell>& cells,
+               const CampaignOptions& options, std::uint64_t seed,
+               const std::vector<std::size_t>& order, CampaignRecords& records,
+               const RecordSink& sink, [[maybe_unused]] const TaskObs& obs) {
+  // The work list, in `order`. Adaptive cells run whole: their repetitions
+  // must go in order, so the executed set is a per-cell prefix at any
+  // interruption point and the ConfirmMonitor, a pure function of the
+  // cell's value sequence, re-derives the journaled stop on resume.
+  // Otherwise every pending repetition is its own task, and the list is cut
+  // to `max_measurements`, so the executed set is the same at any thread
+  // count; each task derives its own repetition seed, so every value is too.
+  const int cap = options.repetitions_per_cell;
+  std::vector<CampaignTask> tasks;
+  for (const auto idx : order) {
+    if (options.adaptive.enabled) {
+      tasks.push_back({idx, 0, cap});
+      continue;
+    }
+    for (int r = 0; r < cap; ++r) {
+      if (!records.has(idx, r)) tasks.push_back({idx, r, 1});
+    }
+  }
+  if (!options.adaptive.enabled && options.max_measurements > 0 &&
+      tasks.size() > static_cast<std::size_t>(options.max_measurements)) {
+    tasks.resize(static_cast<std::size_t>(options.max_measurements));
+  }
+
+  // Adaptive cells claim the measurement budget one repetition at a time.
+  const bool metered = options.adaptive.enabled && options.max_measurements > 0;
+  std::atomic<int> budget{options.max_measurements};
+  // Set by a failed task or record write: no new measurement starts.
+  std::atomic<bool> failed{false};
+
+  // Runs one task, handing each journal record to `emit` as soon as it
+  // exists. Returns false when cancellation, a failure or the budget cut
+  // the task short.
+  const auto run_task = [&](const CampaignTask& task, const auto& emit) {
+    const std::size_t idx = task.cell;
+    std::optional<ConfirmMonitor> monitor;
+    if (options.adaptive.enabled) monitor.emplace(options.adaptive);
+    for (int r = task.first; r < task.first + task.count; ++r) {
+      if (!records.has(idx, r)) {
+        if (cancelled(options) || failed.load(std::memory_order_relaxed) ||
+            (metered && budget.fetch_sub(1, std::memory_order_relaxed) <= 0)) {
+          return false;
+        }
+        CLOUDREPRO_OBS_STMT(const double m_start = obs.wall_s();)
+        cells[idx].fresh();
+        stats::Rng rep_rng{campaign_repetition_seed(seed, idx, r)};
+        const double value = cells[idx].run_once(rep_rng);
+        records.measured(idx, r, value);
+        CLOUDREPRO_OBS_STMT(
+            const double m_dur = obs.wall_s() - m_start;
+            if (obs.cell_wall) obs.cell_wall->observe(m_dur);
+            if (obs.executed) obs.executed->add();
+            if (obs.tracer) {
+              obs.tracer->complete(m_start, m_dur, "campaign", "measurement",
+                                   {"cell", static_cast<double>(idx)},
+                                   {"rep", static_cast<double>(r)},
+                                   static_cast<std::uint32_t>(idx), 0);
+            })
+        emit(journal_line({idx, r, value}));
+      }
+      if (monitor && monitor->add(records.value(idx, r))) {
+        const int stop = static_cast<int>(monitor->stop_repetitions());
+        records.converged(idx, stop);
+        // Re-emitting after a torn tail heals a lost stop record; when the
+        // record already replayed, the decision is simply re-derived.
+        if (!records.has_stop(idx)) {
+          emit(journal_line(journal_stop_record(idx, stop)));
+        }
+        break;
+      }
+    }
+    return true;
+  };
+
+  // An external pool (cloudrepro suite's shared thread budget) overrides
+  // the `threads` knob; with one the tasks go to the pool even at a single
+  // worker, since the caller owns the scheduling decision.
+  if (!options.pool &&
+      runtime::ThreadPool::resolve_thread_count(options.threads) <= 1) {
+    // Serial reference: the tasks run inline in order, each record handed
+    // over as its measurement finishes, up to the first task that could not
+    // finish.
+    for (const auto& task : tasks) {
+      if (!run_task(task, sink)) return false;
+    }
+    return true;
+  }
+  if (tasks.empty()) return true;
+
+  // Workers push finished records onto `lines`; this thread, the only one
+  // calling `sink`, swaps the batch out and hands it over. A task's
+  // terminal act is finished++/notify *under the mutex*, so once this
+  // thread observes finished == tasks.size() while holding it, no worker
+  // can still touch this frame — which is what lets an external
+  // (suite-shared) pool outlive the campaign without a wait_idle() that
+  // would block on other campaigns' tasks.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::string> lines;  // Guarded by mu.
+  std::size_t finished = 0;        // Guarded by mu.
+  bool all_ran = true;             // Guarded by mu.
+  std::exception_ptr error;        // Guarded by mu: the first task failure.
+  const auto push_line = [&](std::string line) {
+    std::lock_guard<std::mutex> lock{mu};
+    lines.push_back(std::move(line));
+    cv.notify_one();
+  };
+
+  std::unique_ptr<runtime::ThreadPool> owned_pool;
+  runtime::ThreadPool* pool = options.pool;
+  if (!pool) {
+    owned_pool = std::make_unique<runtime::ThreadPool>(options.threads);
+    pool = owned_pool.get();
+  }
+  for (const auto& task : tasks) {
+    pool->submit([&, task] {
+      bool ran = false;
+      std::exception_ptr task_error;
+      try {
+        ran = run_task(task, push_line);
+      } catch (...) {
+        task_error = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+      }
+      std::lock_guard<std::mutex> lock{mu};
+      if (task_error && !error) error = task_error;
+      all_ran = all_ran && ran;
+      ++finished;
+      cv.notify_one();
+    });
+  }
+
+  // A failed record write must not abandon in-flight tasks (they reference
+  // this frame): stop new measurements, keep draining, and surface the
+  // error only after every task has landed.
+  std::exception_ptr sink_error;
+  std::vector<std::string> batch;
+  for (bool landed = false; !landed;) {
+    {
+      std::unique_lock<std::mutex> lock{mu};
+      cv.wait(lock, [&] { return !lines.empty() || finished == tasks.size(); });
+      batch.swap(lines);
+      landed = finished == tasks.size();
+    }
+    // Backlog at this swap: how far the workers ran ahead of the writer.
+    CLOUDREPRO_OBS_STMT(
+        if (obs.queue_depth && !batch.empty()) {
+          obs.queue_depth->observe(static_cast<double>(batch.size()));
+        })
+    for (const auto& line : batch) {
+      if (sink_error) break;
+      try {
+        sink(line);
+      } catch (...) {
+        sink_error = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
+    batch.clear();
+  }
+  if (error) std::rethrow_exception(error);
+  if (sink_error) std::rethrow_exception(sink_error);
+  return all_ran;
+}
+
 }  // namespace
+
+bool run_cells(const std::vector<CampaignCell>& cells,
+               const CampaignOptions& options, std::uint64_t seed,
+               const std::vector<std::size_t>& order, CampaignRecords& records,
+               const RecordSink& sink) {
+#if CLOUDREPRO_OBS
+  const TaskObs obs{options.tracer, options.metrics};
+#else
+  const TaskObs obs{nullptr, nullptr};
+#endif
+  return run_tasks(cells, options, seed, order, records, sink, obs);
+}
 
 std::uint64_t campaign_repetition_seed(std::uint64_t master, std::size_t cell,
                                        int rep) noexcept {
@@ -146,15 +335,17 @@ CampaignResult run_campaign(std::vector<CampaignCell> cells,
     }
   }
 
-#if CLOUDREPRO_OBS
   // Observability sinks: external when supplied, owned when only a path was
   // given. All campaign events live in the wall-clock domain (track 0,
   // seconds since campaign start) — per-measurement sim time is the cells'
   // business, not ours.
   std::unique_ptr<obs::Tracer> owned_tracer;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics;
-  obs::Tracer* tracer = options.tracer;
-  obs::MetricsRegistry* metrics = options.metrics;
+  obs::Tracer* tracer = nullptr;
+  obs::MetricsRegistry* metrics = nullptr;
+#if CLOUDREPRO_OBS
+  tracer = options.tracer;
+  metrics = options.metrics;
   if (!tracer && !options.trace_path.empty()) {
     owned_tracer = std::make_unique<obs::Tracer>();
     tracer = owned_tracer.get();
@@ -163,248 +354,51 @@ CampaignResult run_campaign(std::vector<CampaignCell> cells,
     owned_metrics = std::make_unique<obs::MetricsRegistry>();
     metrics = owned_metrics.get();
   }
-  obs::Histogram* h_cell_wall =
-      metrics ? &metrics->histogram("campaign.cell_wall_s") : nullptr;
-  obs::Histogram* h_queue_depth =
-      metrics ? &metrics->histogram("campaign.journal_queue_depth") : nullptr;
-  obs::Counter* c_executed =
-      metrics ? &metrics->counter("campaign.measurements_executed") : nullptr;
-  const auto obs_t0 = std::chrono::steady_clock::now();
-  const auto wall_s = [obs_t0] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - obs_t0)
-        .count();
-  };
 #endif
-
-  CampaignResult result;
-  result.seed = seed;
-  result.seed_recorded = true;
-  result.options = options;
-  result.cells.resize(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    result.cells[i].config = cells[i].config;
-    result.cells[i].treatment = cells[i].treatment;
-  }
+  const TaskObs obs{tracer, metrics};
 
   // Randomized execution order over (cell, repetition) pairs would break
   // per-cell warm-up symmetry; the paper randomizes at the experiment level,
   // so we shuffle cells and run each cell's repetitions consecutively with
   // fresh state per repetition. The order comes from its own derived stream
   // so it matches across interrupt/resume cycles.
-  result.execution_order = campaign_execution_order(cells.size(), options, seed);
+  CampaignRecords records{cells, options, seed};
+  CampaignResult result;
+  result.seed = seed;
+  result.seed_recorded = true;
+  result.options = options;
+  result.execution_order = records.execution_order();
+  result.cells.resize(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    result.cells[i].config = cells[i].config;
+    result.cells[i].treatment = cells[i].treatment;
+  }
 
   // Journal: replay the checksummed valid prefix, truncate any torn or
   // corrupt tail, then append new measurements as they finish. All journal
   // I/O goes through the (injectable) vfs so crash torture can interpose.
-  const int cap = options.repetitions_per_cell;
-  std::vector<CellSlots> slots(cells.size());
-  for (auto& slot : slots) {
-    slot.values.assign(static_cast<std::size_t>(cap), 0.0);
-    slot.state.assign(static_cast<std::size_t>(cap), kMissing);
-  }
   io::Vfs& vfs = options.vfs ? *options.vfs : io::real_vfs();
   std::unique_ptr<io::WritableFile> journal;
   if (!options.journal_path.empty()) {
-    const std::string header = journal_header(cells, options, seed);
-    const auto replay = replay_journal(vfs, options.journal_path, header,
-                                       cells.size(), cap);
-    for (const auto& [key, value] : replay.done) {
-      const auto r = static_cast<std::size_t>(key.second);
-      slots[key.first].values[r] = value;
-      slots[key.first].state[r] = kReplayed;
-    }
-    for (const auto& stop : replay.stops) slots[stop.first].stop_journaled = true;
+    const auto replay =
+        replay_journal(vfs, options.journal_path, records.header(),
+                       cells.size(), options.repetitions_per_cell);
+    records.absorb(replay);
     if (replay.corrupt_tail) {
       // Keep only the intact record prefix; the measurements the tail held
       // simply re-run. This is the torn-write recovery path.
       vfs.truncate(options.journal_path, replay.valid_bytes);
     }
     journal = vfs.open_write(options.journal_path, io::WriteMode::kAppend);
-    if (replay.valid_bytes == 0) journal->append(header + "\n");
+    if (replay.valid_bytes == 0) journal->append(records.header() + "\n");
   }
 
-  // The work list, in execution order. Adaptive cells run whole: their
-  // repetitions must go in order, so the executed set is a per-cell prefix
-  // at any interruption point and the ConfirmMonitor, a pure function of
-  // the cell's value sequence, re-derives the journaled stop on resume.
-  // Otherwise every pending repetition is its own task, and the list is cut
-  // to `max_measurements`, so the executed set is the same at any thread
-  // count; each task derives its own repetition seed, so every value is too.
-  std::vector<CampaignTask> tasks;
-  for (const auto idx : result.execution_order) {
-    if (options.adaptive.enabled) {
-      tasks.push_back({idx, 0, cap});
-      continue;
-    }
-    for (int r = 0; r < cap; ++r) {
-      if (slots[idx].state[static_cast<std::size_t>(r)] == kMissing) {
-        tasks.push_back({idx, r, 1});
-      }
-    }
-  }
-  if (!options.adaptive.enabled && options.max_measurements > 0 &&
-      tasks.size() > static_cast<std::size_t>(options.max_measurements)) {
-    tasks.resize(static_cast<std::size_t>(options.max_measurements));
-  }
-
-  // Adaptive cells claim the measurement budget one repetition at a time.
-  const bool metered = options.adaptive.enabled && options.max_measurements > 0;
-  std::atomic<int> budget{options.max_measurements};
-  // Set by a failed task or journal append: no new measurement starts.
-  std::atomic<bool> failed{false};
-
-  // Runs one task, handing each journal record to `emit` as soon as it
-  // exists. Returns false when cancellation, a failure or the budget cut
-  // the task short.
-  const auto run_task = [&](const CampaignTask& task, const auto& emit) {
-    const std::size_t idx = task.cell;
-    CellSlots& slot = slots[idx];
-    std::optional<ConfirmMonitor> monitor;
-    if (options.adaptive.enabled) monitor.emplace(options.adaptive);
-    for (int r = task.first; r < task.first + task.count; ++r) {
-      const auto rep = static_cast<std::size_t>(r);
-      if (slot.state[rep] == kMissing) {
-        if (cancelled(options) || failed.load(std::memory_order_relaxed) ||
-            (metered && budget.fetch_sub(1, std::memory_order_relaxed) <= 0)) {
-          return false;
-        }
-        CLOUDREPRO_OBS_STMT(const double m_start = wall_s();)
-        cells[idx].fresh();
-        stats::Rng rep_rng{campaign_repetition_seed(seed, idx, r)};
-        slot.values[rep] = cells[idx].run_once(rep_rng);
-        slot.state[rep] = kMeasured;
-        CLOUDREPRO_OBS_STMT(
-            const double m_dur = wall_s() - m_start;
-            if (h_cell_wall) h_cell_wall->observe(m_dur);
-            if (c_executed) c_executed->add();
-            if (tracer) {
-              tracer->complete(m_start, m_dur, "campaign", "measurement",
-                               {"cell", static_cast<double>(idx)},
-                               {"rep", static_cast<double>(r)},
-                               static_cast<std::uint32_t>(idx), 0);
-            })
-        emit(journal_line({idx, r, slot.values[rep]}));
-      }
-      if (monitor && monitor->add(slot.values[rep])) {
-        slot.converged = true;
-        slot.stop_repetitions = monitor->stop_repetitions();
-        // Re-emitting after a torn tail heals a lost stop record; when the
-        // record already replayed, the decision is simply re-derived.
-        if (!slot.stop_journaled) {
-          emit(journal_line(journal_stop_record(
-              idx, static_cast<int>(slot.stop_repetitions))));
-        }
-        break;
-      }
-    }
-    return true;
-  };
-
-  // An external pool (cloudrepro suite's shared thread budget) overrides
-  // the `threads` knob; with one the tasks go to the pool even at a single
-  // worker, since the caller owns the scheduling decision.
-  if (!options.pool &&
-      runtime::ThreadPool::resolve_thread_count(options.threads) <= 1) {
-    // Serial reference: the tasks run inline in execution order, each
-    // record appended as its measurement finishes, up to the first task
-    // that could not finish.
-    const auto append = [&](const std::string& line) {
-      if (journal) journal->append(line + "\n");
-    };
-    for (const auto& task : tasks) {
-      if (!run_task(task, append)) break;
-    }
-  } else if (!tasks.empty()) {
-    // Workers push finished records onto `records`; this thread, the single
-    // journal writer and the only one touching the vfs, swaps the batch out
-    // and appends it. A task's terminal act is finished++/notify *under the
-    // mutex*, so once this thread observes finished == tasks.size() while
-    // holding it, no worker can still touch this frame — which is what lets
-    // an external (suite-shared) pool outlive the campaign without a
-    // wait_idle() that would block on other campaigns' tasks.
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<std::string> records;  // Guarded by mu.
-    std::size_t finished = 0;          // Guarded by mu.
-    std::exception_ptr error;          // Guarded by mu: the first task failure.
-    const auto push_record = [&](std::string line) {
-      std::lock_guard<std::mutex> lock{mu};
-      records.push_back(std::move(line));
-      cv.notify_one();
-    };
-
-    std::unique_ptr<runtime::ThreadPool> owned_pool;
-    runtime::ThreadPool* pool = options.pool;
-    if (!pool) {
-      owned_pool = std::make_unique<runtime::ThreadPool>(options.threads);
-      pool = owned_pool.get();
-    }
-    for (const auto& task : tasks) {
-      pool->submit([&, task] {
-        std::exception_ptr task_error;
-        try {
-          run_task(task, push_record);
-        } catch (...) {
-          task_error = std::current_exception();
-          failed.store(true, std::memory_order_relaxed);
-        }
-        std::lock_guard<std::mutex> lock{mu};
-        if (task_error && !error) error = task_error;
-        ++finished;
-        cv.notify_one();
-      });
-    }
-
-    // A failed append must not abandon in-flight tasks (they reference this
-    // frame): stop new measurements, keep draining, and surface the error
-    // only after every task has landed.
-    std::exception_ptr writer_error;
-    std::vector<std::string> batch;
-    for (bool landed = false; !landed;) {
-      {
-        std::unique_lock<std::mutex> lock{mu};
-        cv.wait(lock, [&] { return !records.empty() || finished == tasks.size(); });
-        batch.swap(records);
-        landed = finished == tasks.size();
-      }
-      // Backlog at this swap: how far the workers ran ahead of the writer.
-      CLOUDREPRO_OBS_STMT(
-          if (h_queue_depth && !batch.empty()) {
-            h_queue_depth->observe(static_cast<double>(batch.size()));
-          })
-      for (const auto& line : batch) {
-        if (!journal || writer_error) break;
-        try {
-          journal->append(line + "\n");
-        } catch (...) {
-          writer_error = std::current_exception();
-          failed.store(true, std::memory_order_relaxed);
-        }
-      }
-      batch.clear();
-    }
-    if (error) std::rethrow_exception(error);
-    if (writer_error) std::rethrow_exception(writer_error);
-  }
-
-  // Assemble in execution order up to the first repetition no task
-  // finished — the serial rule, so an interrupted campaign reports the same
-  // values at any thread count. A converged adaptive cell ends at its stop
-  // point: its remaining repetitions were never due.
-  for (const auto idx : result.execution_order) {
-    const CellSlots& slot = slots[idx];
-    auto& out = result.cells[idx];
-    out.adaptive_converged = slot.converged;
-    out.stop_repetitions = slot.stop_repetitions;
-    const std::size_t end =
-        slot.converged ? slot.stop_repetitions : static_cast<std::size_t>(cap);
-    std::size_t r = 0;
-    for (; r < end && slot.state[r] != kMissing; ++r) {
-      out.values.push_back(slot.values[r]);
-      if (slot.state[r] == kReplayed) ++result.resumed_measurements;
-    }
-    if (r < end) break;
-  }
+  run_tasks(cells, options, seed, result.execution_order, records,
+            [&](const std::string& line) {
+              if (journal) journal->append(line + "\n");
+            },
+            obs);
+  records.assemble(result);
 
   if (journal) {
     // Durability point: everything journaled so far survives a crash from
@@ -443,7 +437,7 @@ CampaignResult run_campaign(std::vector<CampaignCell> cells,
         .add(static_cast<double>(result.resumed_measurements));
   }
   if (tracer) {
-    tracer->complete(0.0, wall_s(), "campaign", "campaign",
+    tracer->complete(0.0, obs.wall_s(), "campaign", "campaign",
                      {"cells", static_cast<double>(cells.size())},
                      {"reps", static_cast<double>(options.repetitions_per_cell)},
                      0, 0);

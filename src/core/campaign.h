@@ -201,20 +201,37 @@ struct CampaignResult {
 
 /// The RNG stream seed for one (cell, repetition) of a campaign with master
 /// seed `master`. This is the contract that makes campaign values a pure
-/// function of (cells, options, seed): resume, thread count, and — via
-/// src/shard — the worker process a repetition lands on never change what it
-/// computes. Exposed so shard workers derive exactly the streams
-/// `run_campaign` would.
+/// function of (cells, options, seed): resume, thread count, and the shard
+/// worker a repetition lands on never change what it computes.
 std::uint64_t campaign_repetition_seed(std::uint64_t master, std::size_t cell,
                                        int rep) noexcept;
 
 /// The cell visit order `run_campaign` derives from (seed,
 /// options.randomize_order): a seed-keyed permutation when randomizing, else
-/// identity. The canonical journal's records appear in this order, which is
-/// what a sharded merge must reproduce byte-for-byte.
+/// identity. The canonical journal's records appear in this order.
 std::vector<std::size_t> campaign_execution_order(std::size_t cell_count,
                                                   const CampaignOptions& options,
                                                   std::uint64_t seed);
+
+class CampaignRecords;
+
+/// Receives each new journal record line (no newline), always on the thread
+/// that called `run_cells`.
+using RecordSink = std::function<void(const std::string&)>;
+
+/// `run_campaign`'s task loop, which the shard worker runs for its assigned
+/// cell. Measures, cell by cell in `order`, every repetition `records` does
+/// not hold (adaptive cells: until the stopping rule holds), storing each
+/// value in `records` and handing its record line, and a new stop record,
+/// to `sink`. With threads = 1 and no pool the tasks run inline in order;
+/// otherwise they run on the pool while this thread alone calls `sink`.
+/// Honors `cancel` and `max_measurements` as `run_campaign` does, and
+/// returns false when either cut a task short; every repetition that
+/// finished has still reached `sink`. `order` must index into `cells`.
+bool run_cells(const std::vector<CampaignCell>& cells,
+               const CampaignOptions& options, std::uint64_t seed,
+               const std::vector<std::size_t>& order, CampaignRecords& records,
+               const RecordSink& sink);
 
 /// Runs the campaign from a master seed. Execution order and every
 /// repetition's RNG stream are derived from (seed, cell index, repetition),

@@ -1,5 +1,6 @@
 #include "core/journal.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <iomanip>
 #include <sstream>
@@ -179,6 +180,205 @@ JournalReplay replay_journal(io::Vfs& vfs, const std::filesystem::path& path,
     replay.valid_bytes = offset;
   }
   return replay;
+}
+
+CampaignRecords::CampaignRecords(const std::vector<CampaignCell>& cells,
+                                 const CampaignOptions& options,
+                                 std::uint64_t seed)
+    : cells_(cells.size()),
+      cap_(options.repetitions_per_cell),
+      adaptive_(options.adaptive),
+      header_(journal_header(cells, options, seed)),
+      order_(campaign_execution_order(cells.size(), options, seed)) {
+  for (Cell& cell : cells_) {
+    cell.values.assign(static_cast<std::size_t>(cap_), 0.0);
+    cell.slots.assign(static_cast<std::size_t>(cap_), kMissing);
+  }
+}
+
+void CampaignRecords::absorb(const JournalReplay& replay) {
+  for (const auto& [key, value] : replay.done) {
+    const auto rep = static_cast<std::size_t>(key.second);
+    cells_[key.first].values[rep] = value;
+    cells_[key.first].slots[rep] = kKnown;
+  }
+  for (const auto& [cell, stop] : replay.stops) cells_[cell].stop = stop;
+}
+
+int CampaignRecords::prefix(const Cell& cell) const {
+  int n = 0;
+  while (n < cap_ && cell.slots[static_cast<std::size_t>(n)] != kMissing) ++n;
+  return n;
+}
+
+CampaignRecords::Canonical CampaignRecords::canonical(std::size_t index,
+                                                      const Cell& cell) const {
+  const int held = prefix(cell);
+  if (!adaptive_.enabled) return {0, held == cap_};
+  const auto contradiction = [index](const char* code, const std::string& what) {
+    return RecordError{code, "cell " + std::to_string(index) + " " + what};
+  };
+  ConfirmMonitor monitor{adaptive_};
+  int stop = 0;
+  for (int r = 0; r < held && stop == 0; ++r) {
+    if (monitor.add(cell.values[static_cast<std::size_t>(r)])) {
+      stop = static_cast<int>(monitor.stop_repetitions());
+    }
+  }
+  if (stop == 0) {
+    if (cell.stop != 0 && held >= cell.stop) {
+      throw contradiction("conflict", "stop record claims " +
+                                          std::to_string(cell.stop) +
+                                          " repetitions but the stopping rule "
+                                          "does not stop there");
+    }
+    return {0, held == cap_};
+  }
+  for (int r = cap_ - 1; r >= stop; --r) {
+    if (cell.slots[static_cast<std::size_t>(r)] != kMissing) {
+      throw contradiction("beyond_stop", "has a value at repetition " +
+                                             std::to_string(r) +
+                                             " past its stop point " +
+                                             std::to_string(stop));
+    }
+  }
+  if (cell.stop != 0 && cell.stop != stop) {
+    throw contradiction("conflict", "stop record claims " +
+                                        std::to_string(cell.stop) +
+                                        " repetitions but the stopping rule "
+                                        "stops at " +
+                                        std::to_string(stop));
+  }
+  return {stop, true};
+}
+
+CampaignRecords::PushOutcome CampaignRecords::push(
+    std::size_t cell, const std::vector<std::string>& lines) {
+  if (cell >= cells_.size()) {
+    throw RecordError{"range", "push: cell index " + std::to_string(cell) +
+                                   " out of range"};
+  }
+  PushOutcome outcome;
+  // Stage against a copy and commit only a coherent result: a push that
+  // throws leaves the set as it was.
+  Cell staged = cells_[cell];
+  std::size_t parsed = 0;
+  for (const std::string& line : lines) {
+    JournalRecord record;
+    if (!parse_journal_line(line, record)) {
+      outcome.dropped = lines.size() - parsed;
+      break;
+    }
+    ++parsed;
+    if (record.cell != cell) {
+      throw RecordError{"cell_mismatch", "push for cell " + std::to_string(cell) +
+                                             " contains a record for cell " +
+                                             std::to_string(record.cell)};
+    }
+    if (record.kind == JournalRecord::Kind::kValue) {
+      if (record.rep < 0 || record.rep >= cap_) {
+        throw RecordError{"range", "record repetition " +
+                                       std::to_string(record.rep) +
+                                       " outside [0, " + std::to_string(cap_) +
+                                       ")"};
+      }
+      const auto rep = static_cast<std::size_t>(record.rep);
+      if (staged.slots[rep] != kMissing) {
+        if (staged.values[rep] == record.value) {
+          ++outcome.duplicates;
+          continue;
+        }
+        throw RecordError{"conflict",
+                          "cell " + std::to_string(cell) + " repetition " +
+                              std::to_string(record.rep) +
+                              " already has a different value — two workers "
+                              "disagree on a deterministic measurement"};
+      }
+      staged.values[rep] = record.value;
+      staged.slots[rep] = kKnown;
+    } else {
+      if (!adaptive_.enabled) {
+        throw RecordError{"unexpected_stop",
+                          "stop record in a non-adaptive campaign"};
+      }
+      if (record.rep < 1 || record.rep > cap_) {
+        throw RecordError{"range", "stop count " + std::to_string(record.rep) +
+                                       " outside [1, " + std::to_string(cap_) +
+                                       "]"};
+      }
+      if (staged.stop == record.rep) {
+        ++outcome.duplicates;
+        continue;
+      }
+      if (staged.stop != 0) {
+        throw RecordError{"conflict", "cell " + std::to_string(cell) +
+                                          " has two disagreeing stop records"};
+      }
+      staged.stop = record.rep;
+    }
+    ++outcome.accepted;
+  }
+  outcome.cell_complete = canonical(cell, staged).complete;
+  cells_[cell] = std::move(staged);
+  return outcome;
+}
+
+std::vector<std::string> CampaignRecords::resume_lines(std::size_t cell) const {
+  const Cell& state = cells_.at(cell);
+  std::vector<std::string> out;
+  for (int r = 0; r < cap_; ++r) {
+    const auto rep = static_cast<std::size_t>(r);
+    if (state.slots[rep] != kMissing) {
+      out.push_back(journal_line({cell, r, state.values[rep]}));
+    }
+  }
+  if (state.stop != 0) {
+    out.push_back(journal_line(journal_stop_record(cell, state.stop)));
+  }
+  return out;
+}
+
+bool CampaignRecords::cell_complete(std::size_t cell) const {
+  return canonical(cell, cells_.at(cell)).complete;
+}
+
+bool CampaignRecords::complete() const {
+  for (std::size_t cell = 0; cell < cells_.size(); ++cell) {
+    if (!cell_complete(cell)) return false;
+  }
+  return true;
+}
+
+std::string CampaignRecords::journal() const {
+  std::string out = header_ + '\n';
+  for (const std::size_t cell : order_) {
+    for (const std::string& line : resume_lines(cell)) out += line + '\n';
+    // A stop record lost to a torn tail is healed here, as run_campaign
+    // re-emits it on resume.
+    const Canonical c = canonical(cell, cells_[cell]);
+    if (c.stop != 0 && cells_[cell].stop == 0) {
+      out += journal_line(journal_stop_record(cell, c.stop)) + '\n';
+    }
+  }
+  return out;
+}
+
+void CampaignRecords::assemble(CampaignResult& result) const {
+  for (const std::size_t index : order_) {
+    const Cell& cell = cells_[index];
+    CampaignCellResult& out = result.cells[index];
+    const int held = prefix(cell);
+    const int stop = cell.converged;
+    out.adaptive_converged = stop != 0;
+    out.stop_repetitions = static_cast<std::size_t>(stop);
+    const int end = stop != 0 ? stop : cap_;
+    for (int r = 0; r < std::min(held, end); ++r) {
+      const auto rep = static_cast<std::size_t>(r);
+      out.values.push_back(cell.values[rep]);
+      if (cell.slots[rep] == kKnown) ++result.resumed_measurements;
+    }
+    if (held < end) break;
+  }
 }
 
 }  // namespace cloudrepro::core

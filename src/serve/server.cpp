@@ -300,7 +300,7 @@ void ServerCore::handle_get(Connection& conn, const Request& request) {
     if (worker_count_ > 0 && open_shard_session(*spec, seed, key)) {
       count("shard.sessions_opened");
       const auto session = sessions_.find(key);
-      if (session != sessions_.end() && session->second.plan->complete()) {
+      if (session != sessions_.end() && session->second.records->complete()) {
         // Warm journal already proves completion (only the summary was
         // missing): finalize immediately, no assignments needed.
         close_session(key);
@@ -334,7 +334,7 @@ void ServerCore::handle_shard_pull(Connection& conn, const Request& request) {
     count("shard.cells_assigned");
     respond(conn,
             shard_assignment_response(key, cell, session.spec, session.seed,
-                                      session.plan->resume_lines(cell)));
+                                      session.records->resume_lines(cell)));
     return;
   }
   respond(conn, shard_idle_response(options_.worker_retry_ms));
@@ -348,15 +348,15 @@ void ServerCore::handle_shard_push(Connection& conn, const Request& request) {
     return;
   }
   ShardSession& session = it->second;
-  if (request.cell >= session.plan->cell_count()) {
+  if (request.cell >= session.records->cell_count()) {
     count("serve.requests_bad");
     respond(conn, error_response("bad_field", "cell index out of range"));
     return;
   }
-  shard::ShardPlan::PushOutcome outcome;
+  core::CampaignRecords::PushOutcome outcome;
   try {
-    outcome = session.plan->push(request.cell, request.records);
-  } catch (const shard::ShardMergeError& error) {
+    outcome = session.records->push(request.cell, request.records);
+  } catch (const core::RecordError& error) {
     // Nothing was committed (push has strong exception safety); requeue the
     // cell so a healthy worker re-derives it, and bounce the typed error to
     // the pusher.
@@ -370,10 +370,10 @@ void ServerCore::handle_shard_push(Connection& conn, const Request& request) {
   if (request.wall_s > 0) {
     metrics_.histogram("shard.cell_wall_s").observe(request.wall_s);
   }
-  // Completion is *derived* from the plan's record set, never taken from the
+  // Completion is *derived* from the record set, never taken from the
   // worker's claim: a cancelled or lossy worker's cell goes back in the
   // queue regardless of what it said.
-  const bool cell_done = session.plan->cell_complete(request.cell);
+  const bool cell_done = outcome.cell_complete;
   release_assignment(session, conn.id, request.cell, /*requeue=*/!cell_done);
   if (cell_done) count("shard.cells_completed");
   ShardPushAck ack;
@@ -381,7 +381,7 @@ void ServerCore::handle_shard_push(Connection& conn, const Request& request) {
   ack.duplicates = outcome.duplicates;
   ack.dropped = outcome.dropped;
   ack.cell_complete = cell_done;
-  ack.campaign_complete = session.plan->complete();
+  ack.campaign_complete = session.records->complete();
   respond(conn, shard_push_response(ack));
   if (ack.campaign_complete) close_session(request.key);
 }
@@ -395,11 +395,11 @@ bool ServerCore::open_shard_session(const scenario::ScenarioSpec& spec,
     std::filesystem::path journal_path = store_.prepare(spec, seed);
     const auto cells = scenario::build_cells(spec);
     const core::CampaignOptions copts = scenario::campaign_options(spec);
-    auto plan = std::make_unique<shard::ShardPlan>(cells, copts, seed);
+    auto records = std::make_unique<core::CampaignRecords>(cells, copts, seed);
     try {
-      plan->absorb_replay(core::replay_journal(io::real_vfs(), journal_path,
-                                               plan->header(), cells.size(),
-                                               copts.repetitions_per_cell));
+      records->absorb(core::replay_journal(io::real_vfs(), journal_path,
+                                           records->header(), cells.size(),
+                                           copts.repetitions_per_cell));
     } catch (const core::JournalMismatch&) {
       // A journal from a different grid/build: evict and go cold, exactly
       // as run_scenario would.
@@ -408,16 +408,18 @@ bool ServerCore::open_shard_session(const scenario::ScenarioSpec& spec,
       journal_path = store_.prepare(spec, seed);
       lock = store_.try_lock(spec, seed);
       if (!lock) return false;
-      plan = std::make_unique<shard::ShardPlan>(cells, copts, seed);
+      records = std::make_unique<core::CampaignRecords>(cells, copts, seed);
     }
     ShardSession session;
     session.spec = spec;
     session.seed = seed;
     session.journal_path = std::move(journal_path);
-    for (const std::size_t cell : plan->execution_order()) {
-      if (!plan->cell_complete(cell)) session.pending.push_back(cell);
+    // A replayed journal whose records contradict the stopping rule throws
+    // here and leaves the campaign to the executor, whose replay tolerates it.
+    for (const std::size_t cell : records->execution_order()) {
+      if (!records->cell_complete(cell)) session.pending.push_back(cell);
     }
-    session.plan = std::move(plan);
+    session.records = std::move(records);
     session.lock = std::make_shared<scenario::EntryLock>(std::move(lock));
     sessions_.emplace(key, std::move(session));
     return true;
@@ -432,24 +434,11 @@ void ServerCore::close_session(const std::string& key) {
   ShardSession session = std::move(it->second);
   sessions_.erase(it);
 
-  // Snapshot the journal bytes on the reactor (the plan dies with the
-  // session): the canonical merged journal when complete, else the header
-  // plus every known record — replay accepts the set in any order.
-  const bool complete = session.plan->complete();
-  std::string bytes;
-  if (complete) {
-    bytes = session.plan->merge();
-  } else {
-    bytes = session.plan->header();
-    bytes += '\n';
-    for (const std::size_t cell : session.plan->execution_order()) {
-      for (const std::string& line : session.plan->resume_lines(cell)) {
-        bytes += line;
-        bytes += '\n';
-      }
-    }
-  }
-  count(complete ? "shard.sessions_finalized" : "shard.sessions_demoted");
+  // Snapshot the journal bytes on the reactor (the records die with the
+  // session): the canonical journal when complete, else every known record.
+  std::string bytes = session.records->journal();
+  count(session.records->complete() ? "shard.sessions_finalized"
+                                    : "shard.sessions_demoted");
 
   // File I/O and the replay run belong on the executor. The peer
   // read-through is skipped: the journal on disk is already authoritative.
@@ -491,7 +480,7 @@ void ServerCore::forget_worker(const Connection& conn) {
     const auto it = session.assigned.find(conn.id);
     if (it == session.assigned.end()) continue;
     for (const std::size_t cell : it->second) {
-      if (!session.plan->cell_complete(cell)) {
+      if (!session.records->cell_complete(cell)) {
         session.pending.push_back(cell);
         count("shard.cells_reassigned");
       }

@@ -15,12 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "core/journal.h"
 #include "scenario/registry.h"
 #include "scenario/result_store.h"
 #include "serve/frame.h"
 #include "serve/single_flight.h"
 #include "serve/transport.h"
-#include "shard/plan.h"
 
 namespace cloudrepro::obs {
 class MetricsRegistry;
@@ -111,9 +111,9 @@ struct ServeOptions {
 /// Distributed campaigns: a leader GET that finds worker connections
 /// registered (a prior SHARD_PULL marks its connection) opens a *shard
 /// session* instead of submitting the campaign to the executor. The session
-/// owns the entry lock and a shard::ShardPlan; workers pull cell
-/// assignments and push journal records; once the plan proves the campaign
-/// complete, the merged journal is persisted and replayed through
+/// owns the entry lock and the campaign's core::CampaignRecords; workers
+/// pull cell assignments and push journal records; once the records prove
+/// the campaign complete, their journal is persisted and replayed through
 /// run_scenario (zero new measurements), publishing a summary
 /// byte-identical to a single-node run. A worker death requeues its cells;
 /// the death of the *last* worker demotes every open session to the
@@ -204,7 +204,7 @@ class ServerCore {
     scenario::ScenarioSpec spec;
     std::uint64_t seed = 0;
     std::filesystem::path journal_path;
-    std::unique_ptr<shard::ShardPlan> plan;
+    std::unique_ptr<core::CampaignRecords> records;
     /// Held for the session's whole life; shared_ptr because the finalize
     /// closure (a copyable std::function) releases it on an executor thread
     /// after persisting the journal.
@@ -232,10 +232,9 @@ class ServerCore {
   /// executor (cross-process lock holder, or session setup failed).
   bool open_shard_session(const scenario::ScenarioSpec& spec,
                           std::uint64_t seed, const std::string& key);
-  /// Persists the session's journal (merged when complete, partial
-  /// otherwise), erases it, and hands the flight to the executor: release
-  /// the entry lock, replay/resume through run_scenario, complete the
-  /// flight.
+  /// Persists the session's journal (complete or partial), erases it, and
+  /// hands the flight to the executor: release the entry lock,
+  /// replay/resume through run_scenario, complete the flight.
   void close_session(const std::string& key);
   /// Worker connection going away: requeue its cells; when it was the last
   /// worker, demote every open session to local execution.

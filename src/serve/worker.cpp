@@ -8,17 +8,18 @@
 #include <utility>
 #include <vector>
 
+#include "core/journal.h"
 #include "scenario/runner.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
-#include "shard/runner.h"
 
 namespace cloudrepro::serve {
 
 namespace {
 
 /// Per-session worker context: cells materialized once from the inline spec
-/// and reused across this session's assignments. Cells are stateless between
+/// and reused across this session's assignments, and the campaign options
+/// with this worker's threads and cancellation. Cells are stateless between
 /// repetitions (each run_once builds everything from its repetition RNG), so
 /// reuse never leaks state across assignments.
 struct SessionContext {
@@ -73,20 +74,25 @@ WorkerStats run_worker(std::unique_ptr<Transport> transport,
       SessionContext fresh;
       fresh.cells = scenario::build_cells(*assignment.spec);
       fresh.options = scenario::campaign_options(*assignment.spec);
+      fresh.options.threads = options.threads;
+      fresh.options.cancel = options.cancel;
       context = sessions.emplace(assignment.key, std::move(fresh)).first;
     }
     emit(options, "assigned cell " + std::to_string(assignment.cell) + " (" +
                       std::to_string(assignment.resume.size()) +
                       " resume lines)");
 
-    shard::CellTask task;
-    task.cell = assignment.cell;
-    task.resume_lines = assignment.resume;
+    // The cell runs through the campaign's own task loop, resumed from the
+    // shipped records, so its lines are the ones a serial run journals.
+    const SessionContext& session = context->second;
+    core::CampaignRecords records{session.cells, session.options,
+                                  assignment.seed};
+    records.push(assignment.cell, assignment.resume);
+    std::vector<std::string> lines;
     const auto started = std::chrono::steady_clock::now();
-    const shard::CellTaskResult result =
-        shard::run_cell_task(context->second.cells, context->second.options,
-                             assignment.seed, task, options.threads,
-                             options.cancel);
+    const bool complete = core::run_cells(
+        session.cells, session.options, assignment.seed, {assignment.cell},
+        records, [&lines](const std::string& line) { lines.push_back(line); });
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       started)
@@ -94,7 +100,7 @@ WorkerStats run_worker(std::unique_ptr<Transport> transport,
 
     Response push = client.request(
         shard_push_request_frame(options.name, assignment.key, assignment.cell,
-                                 result.lines, wall_s));
+                                 lines, wall_s));
     if (!push.ok) {
       if (push.error_code == "unknown_session") {
         // The coordinator finalized or abandoned this campaign while we were
@@ -114,7 +120,7 @@ WorkerStats run_worker(std::unique_ptr<Transport> transport,
     }
     const ShardPushAck ack = parse_shard_push_response(push.body);
     stats.records_pushed += ack.accepted;
-    if (result.complete) {
+    if (complete) {
       ++stats.cells_completed;
     } else {
       ++stats.cells_partial;
@@ -124,7 +130,7 @@ WorkerStats run_worker(std::unique_ptr<Transport> transport,
                       std::to_string(ack.duplicates) + " duplicate" +
                       (ack.campaign_complete ? ", campaign complete" : ""));
     if (ack.campaign_complete) sessions.erase(assignment.key);
-    if (!result.complete) break;  // Cancelled mid-cell; partial was pushed.
+    if (!complete) break;  // Cancelled mid-cell; partial was pushed.
   }
   return stats;
 }

@@ -18,8 +18,9 @@ namespace cloudrepro::serve {
 struct WorkerOptions {
   /// Worker name echoed in every request (attribution in coordinator logs).
   std::string name = "worker";
-  /// Measurement threads per assigned cell (non-adaptive cells only;
-  /// adaptive cells are inherently sequential). Never affects bytes.
+  /// `CampaignOptions::threads` for each assigned cell: parallelism across
+  /// its repetitions (an adaptive cell is one sequential task). Never
+  /// affects bytes.
   int threads = 1;
   /// Floor for the idle backoff; the coordinator's advertised retry_ms
   /// wins when larger.

@@ -30,7 +30,6 @@
 #include "serve/server.h"
 #include "serve/transport.h"
 #include "serve/worker.h"
-#include "shard/runner.h"
 
 namespace cloudrepro::serve {
 namespace {
@@ -115,6 +114,20 @@ ScenarioSpec adaptive_spec() {
   return spec;
 }
 
+/// Runs an assignment's cell through the campaign task loop, as `run_worker`
+/// does, and returns the record lines it hands back.
+std::vector<std::string> run_assignment(const ShardAssignment& assignment) {
+  const auto cells = scenario::build_cells(*assignment.spec);
+  const auto options = scenario::campaign_options(*assignment.spec);
+  core::CampaignRecords records{cells, options, assignment.seed};
+  records.push(assignment.cell, assignment.resume);
+  std::vector<std::string> lines;
+  EXPECT_TRUE(core::run_cells(
+      cells, options, assignment.seed, {assignment.cell}, records,
+      [&lines](const std::string& line) { lines.push_back(line); }));
+  return lines;
+}
+
 std::string slurp(const fs::path& path) {
   std::ifstream in{path, std::ios::binary};
   EXPECT_TRUE(in) << "missing " << path;
@@ -188,15 +201,9 @@ class ShardServeTest : public ::testing::Test {
   /// Executes one assignment honestly and pushes the result; returns the ack.
   ShardPushAck execute_and_push(TestClient& client, const std::string& name,
                                 const ShardAssignment& assignment) {
-    auto cells = scenario::build_cells(*assignment.spec);
-    const auto options = scenario::campaign_options(*assignment.spec);
-    shard::CellTask task{assignment.cell, assignment.resume};
-    const auto result =
-        shard::run_cell_task(cells, options, assignment.seed, task);
-    EXPECT_TRUE(result.complete);
     send(core(), client,
          shard_push_request_frame(name, assignment.key, assignment.cell,
-                                  result.lines, 0.01));
+                                  run_assignment(assignment), 0.01));
     const auto response = recv(core(), client);
     EXPECT_TRUE(response && response->ok);
     return parse_shard_push_response(response->body);
@@ -274,18 +281,15 @@ TEST_F(ShardServeTest, ConflictingPushIsTypedRejectionAndSessionSurvives) {
 
   // Push one honest record, then a conflicting one for the same repetition
   // (valid checksum, different value) — a version-skewed or corrupt worker.
-  auto cells = scenario::build_cells(*assignment->spec);
-  const auto options = scenario::campaign_options(*assignment->spec);
-  shard::CellTask task{assignment->cell, assignment->resume};
-  const auto result = shard::run_cell_task(cells, options, assignment->seed, task);
+  const auto lines = run_assignment(*assignment);
   send(core(), worker,
        shard_push_request_frame("w1", assignment->key, assignment->cell,
-                                {result.lines[0]}, 0.0));
+                                {lines[0]}, 0.0));
   auto ack_response = recv(core(), worker);
   ASSERT_TRUE(ack_response && ack_response->ok);
 
   core::JournalRecord record;
-  ASSERT_TRUE(core::parse_journal_line(result.lines[0], record));
+  ASSERT_TRUE(core::parse_journal_line(lines[0], record));
   record.value += 1.0;
   send(core(), worker,
        shard_push_request_frame("w1", assignment->key, assignment->cell,
