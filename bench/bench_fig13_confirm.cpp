@@ -84,7 +84,6 @@ void confirm_for(const char* title, const scenario::ScenarioSpec& spec,
   opt.quantile = spec.confirm.quantile;
   opt.confidence = spec.confirm.confidence;
   opt.error_bound = spec.confirm.error_bound;  // The paper's 1% bound.
-  opt.threads = 0;  // Prefix CIs are independent — use every core.
   const auto analysis = core::confirm_analysis(runtimes, opt);
 
   core::TablePrinter t{

@@ -14,6 +14,7 @@
 #include "bigdata/workload.h"
 #include "cloud/instances.h"
 #include "core/campaign.h"
+#include "core/confirm.h"
 #include "measure/iperf.h"
 #include "measure/patterns.h"
 #include "obs/metrics.h"
@@ -233,6 +234,19 @@ void BM_MedianCi(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MedianCi)->Arg(10)->Arg(100)->Arg(1000);
+
+// CONFIRM's prefix sweep: one CI per prefix length 1..n, as every
+// confirm-enabled scenario cell and `predict_repetitions` run it.
+void BM_ConfirmAnalysis(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  stats::Rng rng{4};
+  std::vector<double> xs(n);
+  for (auto& x : xs) x = rng.normal(100.0, 5.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::confirm_analysis(xs));
+  }
+}
+BENCHMARK(BM_ConfirmAnalysis)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

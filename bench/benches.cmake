@@ -53,16 +53,17 @@ cloudrepro_bench(bench_perf_micro)
 target_link_libraries(bench_perf_micro PRIVATE cloudrepro_scenario cloudrepro_serve benchmark::benchmark)
 
 # Perf trajectory: `cmake --build build --target bench-smoke` runs the
-# campaign/fluid/job/suite/serve microbenches and records machine-readable
-# results in ${CMAKE_BINARY_DIR}/BENCH_campaign.json — commit-over-commit
-# numbers come from diffing these files, not from eyeballing console output.
+# campaign/fluid/job/suite/serve/CI/CONFIRM microbenches and records
+# machine-readable results in ${CMAKE_BINARY_DIR}/BENCH_campaign.json —
+# commit-over-commit numbers come from diffing these files, not from
+# eyeballing console output.
 #
 # Recording is Release-only: a debug-build JSON poisons the committed
 # trajectory (google-benchmark stamps library_build_type, but the *repo*
 # numbers would still be garbage). Override for local experiments with
 # -DCLOUDREPRO_BENCH_ALLOW_NONRELEASE=ON.
 set(CLOUDREPRO_BENCH_FILTER
-    "BM_CampaignParallel|BM_FluidAggregateRate|BM_FluidAllToAll|BM_WeekLongTokenBucketProbe|BM_SparkJob|BM_SuiteWorkStealing|BM_ServeRequest")
+    "BM_CampaignParallel|BM_FluidAggregateRate|BM_FluidAllToAll|BM_WeekLongTokenBucketProbe|BM_SparkJob|BM_SuiteWorkStealing|BM_ServeRequest|BM_MedianCi|BM_ConfirmAnalysis")
 if(CMAKE_BUILD_TYPE STREQUAL "Release" OR CLOUDREPRO_BENCH_ALLOW_NONRELEASE)
   add_custom_target(bench-smoke
     COMMAND $<TARGET_FILE:bench_perf_micro>

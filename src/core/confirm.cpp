@@ -1,11 +1,27 @@
 #include "core/confirm.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-
-#include "runtime/thread_pool.h"
+#include <vector>
 
 namespace cloudrepro::core {
+namespace {
+
+// The stopping rule, shared by ConfirmPoint::within_bound and
+// ConfirmMonitor: a valid CI whose relative half-width meets the bound. The
+// estimate != 0 guard mirrors relative_half_width's degenerate case: a
+// zero-quantile CI can never satisfy a *relative* bound.
+bool within_bound(const stats::ConfidenceInterval& ci, double error_bound) {
+  return ci.valid && ci.estimate != 0.0 &&
+         ci.relative_half_width() <= error_bound;
+}
+
+void insert_sorted(std::vector<double>& sorted, double x) {
+  sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), x), x);
+}
+
+}  // namespace
 
 ConfirmAnalysis confirm_analysis(std::span<const double> measurements,
                                  const ConfirmOptions& options) {
@@ -17,32 +33,22 @@ ConfirmAnalysis confirm_analysis(std::span<const double> measurements,
   }
 
   ConfirmAnalysis analysis;
-  analysis.points.resize(measurements.size());
-
-  // Each prefix's CI is independent of every other prefix's, so the
-  // quadratic sweep fans out across workers; point i lands in its
-  // pre-assigned slot, keeping the analysis bit-identical at any thread
-  // count. Widening detection and repetitions_needed below reduce over the
-  // points in fixed order on this thread.
-  runtime::parallel_for_each(
-      options.threads, measurements.size(), [&](std::size_t i) {
-        const std::size_t n = i + 1;
-        const auto prefix = measurements.subspan(0, n);
-        const auto ci =
-            stats::quantile_ci(prefix, options.quantile, options.confidence);
-
-        ConfirmPoint p;
-        p.repetitions = n;
-        p.estimate = ci.estimate;
-        p.ci_lower = ci.lower;
-        p.ci_upper = ci.upper;
-        p.ci_valid = ci.valid;
-        // The estimate != 0 guard mirrors relative_half_width's degenerate
-        // case: a zero-quantile CI can never satisfy a *relative* bound.
-        p.within_bound = ci.valid && ci.estimate != 0.0 &&
-                         ci.relative_half_width() <= options.error_bound;
-        analysis.points[i] = p;
-      });
+  analysis.points.reserve(measurements.size());
+  std::vector<double> prefix;  // The first n measurements, ascending.
+  prefix.reserve(measurements.size());
+  for (const double x : measurements) {
+    insert_sorted(prefix, x);
+    const auto ci =
+        stats::quantile_ci_sorted(prefix, options.quantile, options.confidence);
+    ConfirmPoint p;
+    p.repetitions = prefix.size();
+    p.estimate = ci.estimate;
+    p.ci_lower = ci.lower;
+    p.ci_upper = ci.upper;
+    p.ci_valid = ci.valid;
+    p.within_bound = within_bound(ci, options.error_bound);
+    analysis.points.push_back(p);
+  }
 
   // Widening detection (the Figure 19 Q65 signature). Small-n CIs
   // legitimately fluctuate as new order statistics arrive, so we compare the
@@ -101,23 +107,19 @@ ConfirmMonitor::ConfirmMonitor(const AdaptiveConfirmOptions& options)
 }
 
 bool ConfirmMonitor::add(double value) {
-  sketch_.add(value);
+  insert_sorted(sorted_, value);
   if (converged_) return true;
-  if (sketch_.count() < options_.min_repetitions) return false;
-  const auto interval = ci();
-  // Same rule as ConfirmPoint::within_bound: a valid, non-degenerate CI
-  // whose relative half-width meets the bound.
-  if (interval.valid && interval.estimate != 0.0 &&
-      interval.relative_half_width() <= options_.error_bound) {
+  if (sorted_.size() < options_.min_repetitions) return false;
+  if (within_bound(ci(), options_.error_bound)) {
     converged_ = true;
-    stop_repetitions_ = sketch_.count();
+    stop_repetitions_ = sorted_.size();
   }
   return converged_;
 }
 
 stats::ConfidenceInterval ConfirmMonitor::ci() const {
-  if (sketch_.count() == 0) return {};
-  return sketch_.ci(options_.quantile, options_.confidence);
+  if (sorted_.empty()) return {};
+  return stats::quantile_ci_sorted(sorted_, options_.quantile, options_.confidence);
 }
 
 ConfirmPrediction predict_repetitions(std::span<const double> pilot,

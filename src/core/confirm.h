@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "stats/ci.h"
-#include "stats/streaming.h"
 
 namespace cloudrepro::core {
 
@@ -32,12 +31,6 @@ struct ConfirmOptions {
   double quantile = 0.5;       ///< Median by default; 0.9 for tail analyses.
   double confidence = 0.95;
   double error_bound = 0.01;   ///< 1% in Figure 13, 10% in Figure 19.
-
-  /// Worker threads for the per-prefix CI computation (the O(N^2) part of
-  /// the analysis): 1 = serial, 0 = hardware concurrency. Every prefix's CI
-  /// is an independent pure function of the data, so the analysis is
-  /// bit-identical across thread counts.
-  int threads = 1;
 };
 
 struct ConfirmAnalysis {
@@ -56,7 +49,10 @@ struct ConfirmAnalysis {
 };
 
 /// Runs the analysis over the measurement sequence in collection order
-/// (order matters: the whole point is detecting sequence effects).
+/// (order matters: the whole point is detecting sequence effects). One
+/// sorted prefix grows by an insert per repetition and each point's CI is
+/// one O(n) pass (`stats::quantile_ci_sorted`), so the sweep is O(N^2) and
+/// every point equals `stats::quantile_ci` of its prefix.
 ConfirmAnalysis confirm_analysis(std::span<const double> measurements,
                                  const ConfirmOptions& options = {});
 
@@ -103,13 +99,14 @@ struct AdaptiveConfirmOptions {
 
 /// Streaming evaluator of the adaptive stopping rule for one campaign cell.
 ///
-/// Feeds each measurement into an exact `QuantileReservoir` and reports
-/// convergence as soon as the non-parametric CI is valid, non-degenerate
-/// (estimate != 0 — a zero quantile can never satisfy a relative bound),
-/// within the bound, and past `min_repetitions`. Convergence is sticky: the
-/// decision is made once, at the first qualifying repetition, so replaying
-/// the same value sequence always stops at the same repetition — which is
-/// what makes the journaled stop record reproducible.
+/// Inserts each measurement into its sorted sample and reports convergence
+/// at the first repetition past `min_repetitions` whose CI passes the test
+/// `ConfirmPoint::within_bound` records: valid, non-degenerate (estimate !=
+/// 0 — a zero quantile can never satisfy a relative bound) and within the
+/// bound. Convergence is sticky: the decision is made once, at the first
+/// qualifying repetition, so replaying the same value sequence always stops
+/// at the same repetition — which is what makes the journaled stop record
+/// reproducible.
 class ConfirmMonitor {
  public:
   explicit ConfirmMonitor(const AdaptiveConfirmOptions& options);
@@ -120,14 +117,14 @@ class ConfirmMonitor {
   bool converged() const noexcept { return converged_; }
   /// Repetition count at which the rule was first met (0 if not yet).
   std::size_t stop_repetitions() const noexcept { return stop_repetitions_; }
-  std::size_t count() const noexcept { return sketch_.count(); }
+  std::size_t count() const noexcept { return sorted_.size(); }
   /// CI over the measurements seen so far (invalid until the sample is
   /// large enough for the order-statistic interval to exist).
   stats::ConfidenceInterval ci() const;
 
  private:
   AdaptiveConfirmOptions options_;
-  stats::QuantileReservoir sketch_;
+  std::vector<double> sorted_;  ///< Every measurement so far, ascending.
   bool converged_ = false;
   std::size_t stop_repetitions_ = 0;
 };

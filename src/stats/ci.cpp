@@ -1,5 +1,6 @@
 #include "stats/ci.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -44,23 +45,34 @@ ConfidenceInterval quantile_ci_sorted(std::span<const double> s, double q,
   // Binomial(n, q). We need the largest j with P(X < j) <= alpha/2, i.e.
   // BinomCdf(j - 1) <= alpha/2, and the smallest k with
   // P(X >= k) <= alpha/2, i.e. BinomCdf(k - 1) >= 1 - alpha/2.
+  //
+  // One pass walks the CDF upward and stops at k. `sum` adds the pmf terms
+  // binomial_cdf adds (same expression, same ascending order), so each
+  // clamped partial sum is bit-equal to binomial_cdf(i, n, q), and so are
+  // j, k and the coverage; an interval costs O(n) terms, not O(n^2).
+  const double log_p = std::log(q);
+  const double log_q = std::log1p(-q);
   long long j = 0;  // 0 means "no valid lower order statistic".
-  for (long long i = 1; i <= n; ++i) {
-    if (binomial_cdf(i - 1, n, q) <= alpha / 2.0) {
-      j = i;
-    } else {
-      break;
-    }
-  }
   long long k = 0;
-  for (long long i = 1; i <= n; ++i) {
-    if (binomial_cdf(i - 1, n, q) >= 1.0 - alpha / 2.0) {
-      k = i;
-      break;
+  double cdf_j = 0.0;  // BinomCdf(j - 1).
+  double cdf_k = 0.0;  // BinomCdf(k - 1).
+  double sum = 0.0;
+  for (long long i = 0; i < n && k == 0; ++i) {
+    sum += std::exp(log_binomial_coefficient(n, i) + static_cast<double>(i) * log_p +
+                    static_cast<double>(n - i) * log_q);
+    const double cdf = std::min(sum, 1.0);
+    // The CDF never decreases, so the indices with cdf <= alpha/2 form a
+    // prefix and the first cdf >= 1 - alpha/2 comes after it.
+    if (cdf <= alpha / 2.0) {
+      j = i + 1;
+      cdf_j = cdf;
+    } else if (cdf >= 1.0 - alpha / 2.0) {
+      k = i + 1;
+      cdf_k = cdf;
     }
   }
 
-  if (j == 0 || k == 0 || j > k) {
+  if (j == 0 || k == 0) {
     // Sample too small for a two-sided distribution-free interval
     // (e.g. n = 3 for the median at 95%).
     ci.valid = false;
@@ -72,7 +84,7 @@ ConfidenceInterval quantile_ci_sorted(std::span<const double> s, double q,
   ci.lower = s[static_cast<std::size_t>(j - 1)];
   ci.upper = s[static_cast<std::size_t>(k - 1)];
   // Achieved coverage: P(j <= X < k) over the binomial counts.
-  ci.confidence = binomial_cdf(k - 1, n, q) - binomial_cdf(j - 1, n, q);
+  ci.confidence = cdf_k - cdf_j;
   ci.valid = true;
   return ci;
 }

@@ -38,9 +38,10 @@ struct ConfidenceInterval {
 ConfidenceInterval quantile_ci(std::span<const double> xs, double q,
                                double confidence = 0.95);
 
-/// Same as `quantile_ci` but requires `xs` already sorted ascending — the
-/// streaming `QuantileReservoir` keeps its sample sorted and calls this to
-/// skip the O(n log n) re-sort on every stopping-rule evaluation.
+/// Same as `quantile_ci` but requires `xs` already sorted ascending. One
+/// pass over the binomial CDF finds both order-statistic indices, so an
+/// interval costs O(n); CONFIRM's prefix sweep and `ConfirmMonitor` keep
+/// one sorted sample and call this to skip a re-sort per repetition.
 ConfidenceInterval quantile_ci_sorted(std::span<const double> xs, double q,
                                       double confidence = 0.95);
 

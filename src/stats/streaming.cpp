@@ -1,10 +1,7 @@
 #include "stats/streaming.h"
 
-#include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
-#include "stats/descriptive.h"
 #include "stats/special.h"
 
 namespace cloudrepro::stats {
@@ -98,155 +95,6 @@ TestResult z_test(const StreamingMoments& a, const StreamingMoments& b) {
   result.statistic = (a.mean() - b.mean()) / std::sqrt(se2);
   result.p_value = 2.0 * (1.0 - normal_cdf(std::fabs(result.statistic)));
   return result;
-}
-
-P2Quantile::P2Quantile(double q) : q_{q} {
-  if (!(q > 0.0 && q < 1.0)) {
-    throw std::invalid_argument{"P2Quantile: q must be in (0, 1)"};
-  }
-  desired_[0] = 1.0;
-  desired_[1] = 1.0 + 2.0 * q;
-  desired_[2] = 1.0 + 4.0 * q;
-  desired_[3] = 3.0 + 2.0 * q;
-  desired_[4] = 5.0;
-  increments_[0] = 0.0;
-  increments_[1] = q / 2.0;
-  increments_[2] = q;
-  increments_[3] = (1.0 + q) / 2.0;
-  increments_[4] = 1.0;
-}
-
-void P2Quantile::add(double x) noexcept {
-  if (n_ < 5) {
-    heights_[n_++] = x;
-    if (n_ == 5) {
-      std::sort(heights_, heights_ + 5);
-      for (int i = 0; i < 5; ++i) positions_[i] = i + 1;
-    }
-    return;
-  }
-
-  int k;  // Cell the new observation falls into.
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) ++k;
-  }
-
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-  ++n_;
-
-  // Adjust interior markers toward their desired positions.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    if ((d >= 1.0 && positions_[i + 1] - positions_[i] > 1.0) ||
-        (d <= -1.0 && positions_[i - 1] - positions_[i] < -1.0)) {
-      const double s = d >= 1.0 ? 1.0 : -1.0;
-      // Piecewise-parabolic (P^2) interpolation.
-      const double np = positions_[i] + s;
-      const double q_prev = heights_[i - 1];
-      const double q_cur = heights_[i];
-      const double q_next = heights_[i + 1];
-      const double n_prev = positions_[i - 1];
-      const double n_cur = positions_[i];
-      const double n_next = positions_[i + 1];
-      double candidate =
-          q_cur + s / (n_next - n_prev) *
-                      ((n_cur - n_prev + s) * (q_next - q_cur) /
-                           (n_next - n_cur) +
-                       (n_next - n_cur - s) * (q_cur - q_prev) /
-                           (n_cur - n_prev));
-      if (candidate <= q_prev || candidate >= q_next) {
-        // Parabolic estimate left the bracket; fall back to linear.
-        const double neighbor = s > 0.0 ? q_next : q_prev;
-        const double neighbor_pos = s > 0.0 ? n_next : n_prev;
-        candidate = q_cur + s * (neighbor - q_cur) / (neighbor_pos - n_cur);
-      }
-      heights_[i] = candidate;
-      positions_[i] = np;
-    }
-  }
-}
-
-double P2Quantile::value() const noexcept {
-  if (n_ == 0) return 0.0;
-  if (n_ >= 5) return heights_[2];
-  // Small sample: exact type-7 quantile over the buffered values.
-  double buf[5];
-  std::copy(heights_, heights_ + n_, buf);
-  std::sort(buf, buf + n_);
-  const double pos = q_ * static_cast<double>(n_ - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= n_) return buf[n_ - 1];
-  return buf[lo] + frac * (buf[lo + 1] - buf[lo]);
-}
-
-QuantileReservoir::QuantileReservoir(std::size_t capacity,
-                                     std::uint64_t seed) noexcept
-    : capacity_{capacity}, rng_state_{seed == 0 ? 0x9e3779b97f4a7c15ULL : seed} {}
-
-std::uint64_t QuantileReservoir::next_u64() noexcept {
-  // SplitMix64: deterministic, seedable, good enough for reservoir indices.
-  std::uint64_t z = (rng_state_ += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-void QuantileReservoir::add(double x) {
-  ++n_;
-  if (capacity_ == 0 || sorted_.size() < capacity_) {
-    sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), x), x);
-    return;
-  }
-  // Algorithm R: keep the new value with probability capacity / n,
-  // replacing a uniformly chosen retained slot.
-  const std::uint64_t slot = next_u64() % n_;
-  if (slot < capacity_) {
-    sorted_.erase(sorted_.begin() + static_cast<std::ptrdiff_t>(slot));
-    sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), x), x);
-  }
-}
-
-void QuantileReservoir::merge(const QuantileReservoir& other) {
-  if (other.sorted_.empty()) {
-    n_ += other.n_;
-    return;
-  }
-  if (capacity_ == 0 || sorted_.size() + other.sorted_.size() <= capacity_) {
-    std::vector<double> merged;
-    merged.reserve(sorted_.size() + other.sorted_.size());
-    std::merge(sorted_.begin(), sorted_.end(), other.sorted_.begin(),
-               other.sorted_.end(), std::back_inserter(merged));
-    sorted_ = std::move(merged);
-    n_ += other.n_;
-    return;
-  }
-  // Over capacity: feed the other side's retained values through the
-  // replacement path, which deterministically downsamples the union.
-  for (const double x : other.sorted_) add(x);
-  n_ += other.n_ - other.sorted_.size();
-}
-
-double QuantileReservoir::quantile(double q) const {
-  if (sorted_.empty()) {
-    throw std::invalid_argument{"QuantileReservoir::quantile: empty"};
-  }
-  if (!(q >= 0.0 && q <= 1.0)) {
-    throw std::invalid_argument{"QuantileReservoir::quantile: q out of range"};
-  }
-  return quantile_sorted(sorted_, q);
-}
-
-ConfidenceInterval QuantileReservoir::ci(double q, double confidence) const {
-  return quantile_ci_sorted(sorted_, q, confidence);
 }
 
 }  // namespace cloudrepro::stats

@@ -3,9 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "stats/ci.h"
 #include "stats/hypothesis.h"
 
 namespace cloudrepro::stats {
@@ -118,78 +116,5 @@ TestResult welch_t_test(const StreamingMoments& a, const StreamingMoments& b);
 /// Two-sample z test on the means (normal approximation; appropriate once
 /// both counts are large). Null hypothesis: equal means.
 TestResult z_test(const StreamingMoments& a, const StreamingMoments& b);
-
-/// P² single-quantile estimator (Jain & Chlamtac 1985): five markers,
-/// O(1) memory, no storage of the sample. Exact (order-statistic) for the
-/// first five observations, an interpolated-marker estimate afterwards.
-/// This is the cheap streaming answer for dashboards and obs; the CONFIRM
-/// stopping rule uses `QuantileReservoir`, which keeps order statistics
-/// exactly while the sample is small enough to matter.
-class P2Quantile {
- public:
-  /// `q` in (0, 1).
-  explicit P2Quantile(double q);
-
-  void add(double x) noexcept;
-  std::size_t count() const noexcept { return n_; }
-  double quantile() const noexcept { return q_; }
-  /// Current estimate; 0 when empty.
-  double value() const noexcept;
-
- private:
-  double q_;
-  std::size_t n_ = 0;
-  double heights_[5] = {};
-  double positions_[5] = {};  // 1-based marker positions.
-  double desired_[5] = {};
-  double increments_[5] = {};
-};
-
-/// Reservoir-backed quantile sketch for the CONFIRM CI path.
-///
-/// Keeps the sample sorted and *exact* up to `capacity` values (0 =
-/// unbounded), so quantiles and the non-parametric order-statistic CI are
-/// bit-identical to the span-based `quantile` / `quantile_ci` while the
-/// sample fits — which is the regime adaptive stopping lives in, since the
-/// stopping rule caps repetitions. Past capacity it degrades to
-/// deterministic (seeded) uniform reservoir sampling, bounding memory for
-/// million-measurement campaigns at the cost of approximate order
-/// statistics; `exact()` reports which regime the sketch is in.
-class QuantileReservoir {
- public:
-  explicit QuantileReservoir(std::size_t capacity = 0,
-                             std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept;
-
-  void add(double x);
-
-  /// Merges another reservoir. Exact while the union fits the capacity;
-  /// otherwise the union is deterministically downsampled.
-  void merge(const QuantileReservoir& other);
-
-  /// Total observations fed (not the retained count).
-  std::size_t count() const noexcept { return n_; }
-  std::size_t retained() const noexcept { return sorted_.size(); }
-  std::size_t capacity() const noexcept { return capacity_; }
-  /// True while every observation is retained (order statistics exact).
-  bool exact() const noexcept { return n_ == sorted_.size(); }
-
-  /// Type-7 quantile over the retained sample. Throws on empty.
-  double quantile(double q) const;
-
-  /// Non-parametric order-statistic CI over the retained sample — the exact
-  /// same computation as `stats::quantile_ci` when `exact()`.
-  ConfidenceInterval ci(double q, double confidence) const;
-
-  /// Retained values, sorted ascending.
-  std::span<const double> sorted_values() const noexcept { return sorted_; }
-
- private:
-  std::size_t capacity_;
-  std::size_t n_ = 0;
-  std::uint64_t rng_state_;
-  std::vector<double> sorted_;
-
-  std::uint64_t next_u64() noexcept;
-};
 
 }  // namespace cloudrepro::stats

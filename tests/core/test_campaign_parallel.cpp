@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/campaign.h"
-#include "core/confirm.h"
 
 namespace cloudrepro::core {
 namespace {
@@ -195,40 +194,6 @@ TEST(CampaignParallelTest, NegativeThreadsRejected) {
   opt.threads = -1;
   EXPECT_THROW(run_campaign(grid_cells(), opt, std::uint64_t{1}),
                std::invalid_argument);
-}
-
-TEST(CampaignParallelTest, ConfirmAnalysisBitIdenticalAcrossThreadCounts) {
-  // The parallelized prefix-CI sweep feeding predict_repetitions must match
-  // the serial analysis point for point.
-  stats::Rng rng{41};
-  std::vector<double> xs(200);
-  for (auto& x : xs) x = rng.normal(250.0, 12.0);
-
-  ConfirmOptions serial_opt;
-  serial_opt.threads = 1;
-  const auto reference = confirm_analysis(xs, serial_opt);
-
-  for (const int threads : {0, 2, 8}) {
-    ConfirmOptions opt;
-    opt.threads = threads;
-    const auto parallel = confirm_analysis(xs, opt);
-    ASSERT_EQ(parallel.points.size(), reference.points.size());
-    for (std::size_t i = 0; i < reference.points.size(); ++i) {
-      EXPECT_EQ(parallel.points[i].estimate, reference.points[i].estimate);
-      EXPECT_EQ(parallel.points[i].ci_lower, reference.points[i].ci_lower);
-      EXPECT_EQ(parallel.points[i].ci_upper, reference.points[i].ci_upper);
-      EXPECT_EQ(parallel.points[i].ci_valid, reference.points[i].ci_valid);
-      EXPECT_EQ(parallel.points[i].within_bound, reference.points[i].within_bound);
-    }
-    EXPECT_EQ(parallel.repetitions_needed, reference.repetitions_needed);
-    EXPECT_EQ(parallel.ci_widened, reference.ci_widened);
-
-    const auto serial_pred = predict_repetitions(xs, serial_opt);
-    const auto parallel_pred = predict_repetitions(xs, opt);
-    EXPECT_EQ(parallel_pred.predicted_repetitions, serial_pred.predicted_repetitions);
-    EXPECT_EQ(parallel_pred.fitted_coefficient, serial_pred.fitted_coefficient);
-    EXPECT_EQ(parallel_pred.reliable, serial_pred.reliable);
-  }
 }
 
 }  // namespace

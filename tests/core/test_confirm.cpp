@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "stats/ci.h"
 #include "stats/rng.h"
 
 namespace cloudrepro::core {
@@ -25,6 +27,42 @@ TEST(ConfirmTest, PointsCoverEveryPrefix) {
   ASSERT_EQ(a.points.size(), 40u);
   for (std::size_t i = 0; i < a.points.size(); ++i) {
     EXPECT_EQ(a.points[i].repetitions, i + 1);
+  }
+}
+
+TEST(ConfirmTest, EveryPointIsTheQuantileCiOfItsPrefix) {
+  // The sweep keeps one incrementally sorted prefix; each point must equal
+  // an independent quantile_ci of the unsorted prefix, field for field.
+  // The rounded sample has many ties, so insertion order among equal
+  // values is exercised too.
+  auto raw = iid_sample(200, 250.0, 12.0, 41);
+  auto rounded = raw;
+  for (auto& x : rounded) x = std::round(x);
+  for (const auto& xs : {raw, rounded}) {
+    for (const double q : {0.5, 0.9}) {
+      ConfirmOptions opt;
+      opt.quantile = q;
+      opt.error_bound = 0.02;
+      const auto analysis = confirm_analysis(xs, opt);
+      ASSERT_EQ(analysis.points.size(), xs.size());
+      std::size_t within = 0;
+      for (std::size_t n = 1; n <= xs.size(); ++n) {
+        const auto ci = stats::quantile_ci(std::span{xs}.first(n), q, opt.confidence);
+        const auto& p = analysis.points[n - 1];
+        EXPECT_EQ(p.repetitions, n);
+        EXPECT_EQ(p.estimate, ci.estimate) << "q=" << q << " n=" << n;
+        EXPECT_EQ(p.ci_lower, ci.lower) << "q=" << q << " n=" << n;
+        EXPECT_EQ(p.ci_upper, ci.upper) << "q=" << q << " n=" << n;
+        EXPECT_EQ(p.ci_valid, ci.valid) << "q=" << q << " n=" << n;
+        EXPECT_EQ(p.within_bound, ci.valid && ci.estimate != 0.0 &&
+                                      ci.relative_half_width() <= opt.error_bound)
+            << "q=" << q << " n=" << n;
+        within += p.within_bound ? 1 : 0;
+      }
+      // The bound is met part of the way, so both outcomes are compared.
+      EXPECT_GT(within, 0u) << "q=" << q;
+      EXPECT_LT(within, xs.size()) << "q=" << q;
+    }
   }
 }
 
@@ -225,6 +263,28 @@ TEST(ConfirmMonitorTest, StopMatchesPostHocWithinBoundPrefix) {
   EXPECT_TRUE(analysis.points.back().within_bound);
   for (std::size_t n = 1; n < stop; ++n) {
     EXPECT_FALSE(analysis.points[n - 1].within_bound) << "prefix " << n;
+  }
+}
+
+TEST(ConfirmMonitorTest, CiAfterEachAddEqualsQuantileCiOfThePrefix) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const auto xs = iid_sample(40, 100.0, 8.0, seed);
+    for (const double q : {0.5, 0.9}) {
+      AdaptiveConfirmOptions opt;
+      opt.enabled = true;
+      opt.quantile = q;
+      ConfirmMonitor monitor{opt};
+      for (std::size_t n = 1; n <= xs.size(); ++n) {
+        monitor.add(xs[n - 1]);
+        const auto a = monitor.ci();
+        const auto b = stats::quantile_ci(std::span{xs}.first(n), q, opt.confidence);
+        EXPECT_EQ(a.valid, b.valid) << "seed " << seed << " q=" << q << " n=" << n;
+        EXPECT_EQ(a.lower, b.lower) << "seed " << seed << " q=" << q << " n=" << n;
+        EXPECT_EQ(a.estimate, b.estimate) << "seed " << seed << " q=" << q << " n=" << n;
+        EXPECT_EQ(a.upper, b.upper) << "seed " << seed << " q=" << q << " n=" << n;
+        EXPECT_EQ(a.confidence, b.confidence) << "seed " << seed << " q=" << q << " n=" << n;
+      }
+    }
   }
 }
 

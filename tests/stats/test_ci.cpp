@@ -8,6 +8,7 @@
 
 #include "stats/descriptive.h"
 #include "stats/rng.h"
+#include "stats/special.h"
 
 namespace cloudrepro::stats {
 namespace {
@@ -116,6 +117,79 @@ TEST(CiTest, QuantileCiSortedMatchesUnsortedPath) {
   EXPECT_EQ(a.estimate, b.estimate);
   EXPECT_EQ(a.upper, b.upper);
   EXPECT_EQ(a.confidence, b.confidence);
+}
+
+// The interval's definition, written out index by index from binomial_cdf:
+// j is the largest index with BinomCdf(j - 1) <= alpha/2, k the smallest
+// with BinomCdf(k - 1) >= 1 - alpha/2, and the coverage is their CDF
+// difference. quantile_ci_sorted finds them in one pass over a running
+// sum and must agree bit for bit. `cdf(i)` returns binomial_cdf(i, n, q).
+struct PerIndexInterval {
+  long long j = 0;
+  long long k = 0;
+  double coverage = 0.0;
+  bool valid() const { return j != 0 && k != 0 && j <= k; }
+};
+
+template <typename Cdf>
+PerIndexInterval per_index_interval(const Cdf& cdf, long long n, double confidence) {
+  const double alpha = 1.0 - confidence;
+  PerIndexInterval r;
+  for (long long i = 1; i <= n; ++i) {
+    if (cdf(i - 1) <= alpha / 2.0) {
+      r.j = i;
+    } else {
+      break;
+    }
+  }
+  for (long long i = 1; i <= n; ++i) {
+    if (cdf(i - 1) >= 1.0 - alpha / 2.0) {
+      r.k = i;
+      break;
+    }
+  }
+  if (r.valid()) r.coverage = cdf(r.k - 1) - cdf(r.j - 1);
+  return r;
+}
+
+TEST(CiTest, OnePassMatchesPerIndexDefinitionBitForBit) {
+  std::vector<long long> sizes;
+  for (long long n = 1; n <= 150; ++n) sizes.push_back(n);
+  for (const long long n : {199, 256, 500, 1000}) sizes.push_back(n);
+  std::size_t valid = 0;
+  for (const long long n : sizes) {
+    std::vector<double> sample(static_cast<std::size_t>(n));
+    for (long long i = 0; i < n; ++i) sample[static_cast<std::size_t>(i)] = i + 1.0;
+    for (const double q : {0.05, 0.1, 0.5, 0.9, 0.95}) {
+      // binomial_cdf is O(i) per call; each value is computed once per
+      // (n, q) and shared across the confidence levels.
+      std::vector<double> memo;
+      const auto cdf = [&](long long i) {
+        while (static_cast<long long>(memo.size()) <= i) {
+          memo.push_back(binomial_cdf(static_cast<long long>(memo.size()), n, q));
+        }
+        return memo[static_cast<std::size_t>(i)];
+      };
+      for (const double confidence : {0.8, 0.9, 0.95, 0.99}) {
+        const auto ci = quantile_ci_sorted(sample, q, confidence);
+        const auto ref = per_index_interval(cdf, n, confidence);
+        const auto where = ::testing::Message()
+                           << "n=" << n << " q=" << q << " confidence=" << confidence;
+        ASSERT_EQ(ci.valid, ref.valid()) << where;
+        if (!ref.valid()) {
+          EXPECT_EQ(ci.lower, 1.0) << where;
+          EXPECT_EQ(ci.upper, static_cast<double>(n)) << where;
+          EXPECT_EQ(ci.confidence, confidence) << where;
+          continue;
+        }
+        ++valid;
+        EXPECT_EQ(ci.lower, static_cast<double>(ref.j)) << where;
+        EXPECT_EQ(ci.upper, static_cast<double>(ref.k)) << where;
+        EXPECT_EQ(ci.confidence, ref.coverage) << where;
+      }
+    }
+  }
+  EXPECT_GT(valid, sizes.size() * 10);  // Most cases form an interval.
 }
 
 TEST(CiTest, InvalidArgumentsThrow) {

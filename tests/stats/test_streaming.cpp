@@ -8,7 +8,6 @@
 #include <limits>
 #include <vector>
 
-#include "stats/ci.h"
 #include "stats/descriptive.h"
 #include "stats/rng.h"
 
@@ -188,104 +187,6 @@ TEST(StreamingTest, WelchFromMomentsAgreesWithDirectComputation) {
   StreamingMoments c;
   for (int i = 0; i < 60; ++i) c.add(rng.normal(100.0, 5.0));
   EXPECT_GT(welch_t_test(a, c).p_value, 0.01);
-}
-
-// ---------------------------------------------------------------------------
-// P² streaming quantile.
-
-TEST(P2QuantileTest, ExactForFirstFiveObservations) {
-  P2Quantile p50{0.5};
-  for (const double x : {9.0, 1.0, 5.0, 3.0, 7.0}) p50.add(x);
-  EXPECT_DOUBLE_EQ(p50.value(), 5.0);
-}
-
-TEST(P2QuantileTest, TracksTrueQuantileOnLargeStreams) {
-  Rng rng{23};
-  P2Quantile p50{0.5};
-  P2Quantile p90{0.9};
-  std::vector<double> xs;
-  for (int i = 0; i < 5000; ++i) {
-    const double x = std::exp(rng.normal(5.0, 0.4));
-    xs.push_back(x);
-    p50.add(x);
-    p90.add(x);
-  }
-  const double true_p50 = quantile(xs, 0.5);
-  const double true_p90 = quantile(xs, 0.9);
-  EXPECT_NEAR(p50.value(), true_p50, 0.03 * true_p50);
-  EXPECT_NEAR(p90.value(), true_p90, 0.05 * true_p90);
-}
-
-TEST(P2QuantileTest, RejectsDegenerateQuantiles) {
-  EXPECT_THROW(P2Quantile{0.0}, std::invalid_argument);
-  EXPECT_THROW(P2Quantile{1.0}, std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// QuantileReservoir: the CONFIRM CI path.
-
-TEST(QuantileReservoirTest, ExactModeIsBitIdenticalToSpanCi) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const auto xs = lognormal_sample(33, seed);
-    QuantileReservoir r;  // Unbounded: always exact.
-    for (const double x : xs) r.add(x);
-    ASSERT_TRUE(r.exact());
-    EXPECT_EQ(r.quantile(0.5), quantile(xs, 0.5));
-    const ConfidenceInterval a = r.ci(0.5, 0.95);
-    const ConfidenceInterval b = quantile_ci(xs, 0.5, 0.95);
-    EXPECT_EQ(a.valid, b.valid);
-    EXPECT_EQ(a.lower, b.lower);
-    EXPECT_EQ(a.estimate, b.estimate);
-    EXPECT_EQ(a.upper, b.upper);
-    EXPECT_EQ(a.confidence, b.confidence);
-  }
-}
-
-TEST(QuantileReservoirTest, CappedReservoirStaysNearTrueQuantile) {
-  const auto xs = lognormal_sample(4000, 5);
-  QuantileReservoir r{256};
-  for (const double x : xs) r.add(x);
-  EXPECT_FALSE(r.exact());
-  EXPECT_EQ(r.count(), xs.size());
-  EXPECT_EQ(r.retained(), 256u);
-  const double truth = quantile(xs, 0.5);
-  EXPECT_NEAR(r.quantile(0.5), truth, 0.10 * truth);
-}
-
-TEST(QuantileReservoirTest, CappedSamplingIsDeterministic) {
-  const auto xs = lognormal_sample(2000, 9);
-  QuantileReservoir a{128, 42};
-  QuantileReservoir b{128, 42};
-  for (const double x : xs) {
-    a.add(x);
-    b.add(x);
-  }
-  ASSERT_EQ(a.retained(), b.retained());
-  const auto sa = a.sorted_values();
-  const auto sb = b.sorted_values();
-  for (std::size_t i = 0; i < sa.size(); ++i) EXPECT_EQ(sa[i], sb[i]);
-}
-
-TEST(QuantileReservoirTest, MergePreservesExactnessWhenUnionFits) {
-  const auto xs = lognormal_sample(60, 13);
-  QuantileReservoir a, b, whole;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    ((i % 2 == 0) ? a : b).add(xs[i]);
-    whole.add(xs[i]);
-  }
-  a.merge(b);
-  ASSERT_TRUE(a.exact());
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_EQ(a.quantile(0.5), whole.quantile(0.5));
-  const ConfidenceInterval ca = a.ci(0.5, 0.95);
-  const ConfidenceInterval cw = whole.ci(0.5, 0.95);
-  EXPECT_EQ(ca.lower, cw.lower);
-  EXPECT_EQ(ca.upper, cw.upper);
-}
-
-TEST(QuantileReservoirTest, ThrowsOnEmptyQuantile) {
-  const QuantileReservoir r;
-  EXPECT_THROW(r.quantile(0.5), std::invalid_argument);
 }
 
 }  // namespace
