@@ -121,8 +121,6 @@ int usage(std::ostream& os, int code) {
         "  --max-connections N      connection table bound (default 64)\n"
         "  --max-inflight N         concurrent campaign bound; GETs beyond it\n"
         "                           get a \"busy\" error (default 16)\n"
-        "  --peer HOST:PORT         read-through peer: ask another serve daemon\n"
-        "                           before executing a campaign locally\n"
         "\n"
         "options (fetch):\n"
         "  --server HOST:PORT       serve daemon address (default 127.0.0.1:9119)\n"
@@ -155,7 +153,6 @@ struct Cli {
   std::string csv_path;
   std::string listen = "127.0.0.1:9119";
   std::string server = "127.0.0.1:9119";
-  std::string peer;
   int max_connections = 64;
   int max_inflight = 16;
   bool fetch_list = false;
@@ -275,11 +272,6 @@ bool parse_cli(int argc, char** argv, int first, Cli& cli) {
       const char* v = need(i);
       if (!v) return false;
       cli.server = v;
-      ++i;
-    } else if (arg == "--peer") {
-      const char* v = need(i);
-      if (!v) return false;
-      cli.peer = v;
       ++i;
     } else if (arg == "--max-connections") {
       const char* v = need(i);
@@ -662,13 +654,6 @@ int cmd_serve(const Cli& cli) {
   options.max_connections = static_cast<std::size_t>(cli.max_connections);
   options.max_inflight = static_cast<std::size_t>(cli.max_inflight);
   options.campaign_threads = cli.threads;
-  if (!cli.peer.empty()) {
-    const auto [peer_host, peer_port] = serve::parse_endpoint(cli.peer);
-    options.peer = [peer_host = peer_host, peer_port = peer_port]()
-        -> std::unique_ptr<serve::Transport> {
-      return serve::connect_tcp(peer_host, peer_port);
-    };
-  }
 
   serve::ServerCore core{store, metrics, options};
   serve::SocketServer socket_server{core, host, port};

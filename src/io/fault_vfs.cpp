@@ -129,7 +129,7 @@ void FaultVfs::charge_append(const std::filesystem::path& path,
 std::unique_ptr<WritableFile> FaultVfs::open_write(
     const std::filesystem::path& path, WriteMode mode) {
   step("open " + path.string());
-  if (mode == WriteMode::kAppend) {
+  if (mode == WriteMode::kAppend || mode == WriteMode::kOverwrite) {
     note_written(path);  // Pre-existing bytes are already durable.
   } else {
     synced_[path] = 0;  // Truncate/create: nothing durable yet.

@@ -53,6 +53,11 @@ struct FaultVfsOptions {
 /// — i.e. an arbitrary byte-granularity torn tail — then poisons the vfs so
 /// every later operation throws `SimulatedCrash` too ("the process died").
 /// Restarting means constructing a fresh vfs over the same backing store.
+///
+/// Limit: a `kOverwrite` open is tracked like `kAppend` — the bytes present
+/// at open count as durable and only growth past them is volatile. A crash
+/// therefore never tears or rolls back bytes overwritten in place, which a
+/// real device may do; tests of such data exercise torn growth only.
 class FaultVfs : public Vfs {
  public:
   explicit FaultVfs(Vfs& inner, FaultVfsOptions options = {});

@@ -78,6 +78,7 @@ std::unique_ptr<WritableFile> RealVfs::open_write(const std::filesystem::path& p
     case WriteMode::kTruncate: flags |= O_TRUNC; break;
     case WriteMode::kAppend: flags |= O_APPEND; break;
     case WriteMode::kExclusive: flags |= O_EXCL; break;
+    case WriteMode::kOverwrite: break;
   }
   const int fd = ::open(path.c_str(), flags, 0644);
   if (fd < 0) throw_errno("open " + path.string());

@@ -57,6 +57,11 @@ enum class WriteMode {
   kTruncate,   ///< Create or truncate to empty.
   kAppend,     ///< Create or append at the end.
   kExclusive,  ///< Create; IoError(EEXIST) when the file already exists.
+  /// Create, or write from offset 0 over the existing bytes without
+  /// truncating. For advisory data only, rewritten at one fixed length: a
+  /// crash may leave any mix of old and new bytes in the overwritten range
+  /// and any prefix of the bytes written past the old end.
+  kOverwrite,
 };
 
 /// A writable handle. Writes are unbuffered (one syscall per `append`), so

@@ -4,9 +4,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <set>
@@ -61,8 +63,26 @@ bool holder_alive(const std::string& contents, const std::filesystem::path& lock
   return ::kill(static_cast<pid_t>(pid), 0) == 0 || errno == EPERM;
 }
 
-/// Parses `<64-hex>-s<digits>-v<digits>`; filters out non-entry names like
-/// the root's `clock` file and recovers the schema version for age-out.
+/// LRU stamp: nanoseconds since the Unix epoch, made strictly increasing
+/// within the process, so two touches never tie and a system clock that
+/// steps back never reorders this process's accesses.
+std::uint64_t next_stamp() noexcept {
+  static std::atomic<std::uint64_t> last{0};
+  const auto now = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
+  std::uint64_t prev = last.load();
+  std::uint64_t next = 0;
+  do {
+    next = std::max(now, prev + 1);
+  } while (!last.compare_exchange_weak(prev, next));
+  return next;
+}
+
+/// Parses `<64-hex>-s<digits>-v<digits>`; filters out non-entry names (such
+/// as a `clock` file an older store left at the root) and recovers the
+/// schema version for age-out.
 bool parse_entry_key(const std::string& key, int& schema_version) {
   if (key.size() < 64 + 2 + 1 + 2 + 1) return false;
   for (std::size_t i = 0; i < 64; ++i) {
@@ -192,19 +212,15 @@ std::size_t ResultStore::count_journal_measurements(
 }
 
 void ResultStore::touch_entry(const std::filesystem::path& dir) {
+  // Every stamp is 21 bytes, so the in-place write covers the old stamp
+  // whole: unlike truncate-then-write, a crash cannot empty the file.
+  char stamp[22];
+  std::snprintf(stamp, sizeof stamp, "%020llu\n",
+                static_cast<unsigned long long>(next_stamp()));
   try {
-    const auto clock_path = root_ / "clock";
-    std::uint64_t now = 0;
-    if (const auto contents = vfs_->read_file(clock_path)) {
-      now = std::strtoull(contents->c_str(), nullptr, 10);
-    }
-    ++now;
-    auto clock_file = vfs_->open_write(clock_path, io::WriteMode::kTruncate);
-    clock_file->append(std::to_string(now) + "\n");
-    clock_file->close();
-    auto stamp = vfs_->open_write(dir / "last-used", io::WriteMode::kTruncate);
-    stamp->append(std::to_string(now) + "\n");
-    stamp->close();
+    auto file = vfs_->open_write(dir / "last-used", io::WriteMode::kOverwrite);
+    file->append(std::string_view{stamp, sizeof stamp - 1});
+    file->close();
   } catch (const io::IoError&) {
     // LRU freshness is advisory; never fail an access over it (ENOSPC on a
     // full cache device must not break cache reads).
@@ -426,7 +442,7 @@ std::size_t ResultStore::enforce_budget(const std::string& protect_key) {
     info.key.clear();  // Mark consumed for the LRU pass.
   }
 
-  // LRU pass: oldest logical clock first; key breaks ties deterministically.
+  // LRU pass: oldest stamp first; key breaks ties deterministically.
   std::sort(infos.begin(), infos.end(), [](const EntryInfo& a, const EntryInfo& b) {
     return a.last_used != b.last_used ? a.last_used < b.last_used : a.key < b.key;
   });

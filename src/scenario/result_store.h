@@ -71,8 +71,8 @@ struct ResultStoreOptions {
 ///                     entry a full hit
 ///     lock            held (exclusive-create, pid inside) while a process
 ///                     executes this entry's campaign
-///     last-used       logical LRU clock value, advanced on every access
-///   <root>/clock      the logical clock the LRU ordering derives from
+///     last-used       LRU stamp (20 zero-padded digits), overwritten in
+///                     place on every access
 ///
 /// All I/O goes through an `io::Vfs`, so every durability claim here is
 /// exercised by the crash-torture harness under `io::FaultVfs`.
@@ -110,9 +110,9 @@ class ResultStore {
   };
 
   /// Classifies the entry, bumps the corresponding cache counter, and
-  /// freshens the entry's LRU clock on a hit or partial.
+  /// freshens the entry's LRU stamp on a hit or partial.
   Lookup lookup(const ScenarioSpec& spec, std::uint64_t seed);
-  /// Same classification without touching counters or the clock (stats,
+  /// Same classification without touching counters or the stamp (stats,
   /// tests).
   Lookup peek(const ScenarioSpec& spec, std::uint64_t seed) const;
 
@@ -145,7 +145,7 @@ class ResultStore {
   void write_summary(const ScenarioSpec& spec, std::uint64_t seed,
                      std::string_view summary);
 
-  /// Freshens the entry's LRU clock without classifying it or bumping any
+  /// Freshens the entry's LRU stamp without classifying it or bumping any
   /// cache counter — for servers that answer hits via `peek` /
   /// `read_summary_checked` (keeping scenario.cache.* meaning "campaign
   /// admissions") but still want served entries to stay budget-resident.
@@ -168,7 +168,10 @@ class ResultStore {
     bool complete = false;
     std::size_t journal_measurements = 0;
     std::uintmax_t bytes = 0;
-    std::uint64_t last_used = 0;    ///< Logical LRU clock; 0 = never touched.
+    /// Last access, in nanoseconds since the Unix epoch, strictly increasing
+    /// within a process; 0 = never touched. Smaller logical counts written
+    /// by older stores sort as older.
+    std::uint64_t last_used = 0;
     bool current_schema = false;    ///< Key suffix matches kResultSchemaVersion.
     bool locked = false;            ///< A lock file is present (may be stale).
   };
@@ -201,7 +204,7 @@ class ResultStore {
 
  private:
   void count(const char* which, double delta = 1.0) const;
-  /// Advances the logical clock and stamps the entry's last-used file.
+  /// Overwrites the entry's last-used file in place with a fresh stamp.
   /// Best-effort: an I/O error here (e.g. ENOSPC) never fails the lookup.
   void touch_entry(const std::filesystem::path& dir);
   std::uint64_t last_used(const std::filesystem::path& dir) const;

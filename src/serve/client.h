@@ -23,8 +23,8 @@ class FetchTimeout : public std::runtime_error {
 };
 
 /// Blocking request/response client over any Transport: `cloudrepro fetch`
-/// over a TCP socket, the server's peer read-through over a socket, and the
-/// tests over in-memory pipes. One request at a time; the transport's
+/// and `cloudrepro work` over a TCP socket, and the tests over in-memory
+/// pipes. One request at a time; the transport's
 /// wait hooks park the thread between partial reads/writes — bounded by
 /// the request deadline, so a hung peer surfaces as FetchTimeout instead
 /// of an unbounded block.

@@ -67,8 +67,7 @@ Request parse_request(std::string_view frame);
 std::string error_response(std::string_view code, std::string_view message);
 /// `hit` is the server-side disposition: "hit" (served from cache),
 /// "miss" / "partial" (campaign executed by this request), "coalesced"
-/// (shared another request's in-flight execution), "peer" (read through a
-/// peer cache).
+/// (shared another request's in-flight execution).
 std::string get_response(const std::string& hash, std::uint64_t seed,
                          std::string_view hit, const std::string& summary_json);
 

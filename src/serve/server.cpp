@@ -10,7 +10,6 @@
 #include "runtime/thread_pool.h"
 #include "scenario/json.h"
 #include "scenario/runner.h"
-#include "serve/client.h"
 #include "serve/protocol.h"
 
 namespace cloudrepro::serve {
@@ -440,8 +439,7 @@ void ServerCore::close_session(const std::string& key) {
   count(session.records->complete() ? "shard.sessions_finalized"
                                     : "shard.sessions_demoted");
 
-  // File I/O and the replay run belong on the executor. The peer
-  // read-through is skipped: the journal on disk is already authoritative.
+  // File I/O and the replay run belong on the executor.
   executor_->submit([this, key, spec = session.spec, seed = session.seed,
                      path = session.journal_path, bytes = std::move(bytes),
                      lock = session.lock] {
@@ -459,7 +457,7 @@ void ServerCore::close_session(const std::string& key) {
       // itself, and this process already holding it would read as
       // contention.
       lock->release();
-      outcome = execute(spec, seed, /*allow_peer=*/false);
+      outcome = execute(spec, seed);
     } catch (const std::exception& error) {
       lock->release();
       outcome.ok = false;
@@ -513,12 +511,9 @@ void ServerCore::release_assignment(ShardSession& session,
 }
 
 FlightOutcome ServerCore::execute(const scenario::ScenarioSpec& spec,
-                                  std::uint64_t seed, bool allow_peer) {
+                                  std::uint64_t seed) {
   FlightOutcome outcome;
   try {
-    if (allow_peer && options_.peer && fetch_from_peer(spec, seed, outcome)) {
-      return outcome;
-    }
     scenario::RunOptions run;
     run.threads = options_.campaign_threads;
     run.seed = seed;
@@ -541,37 +536,6 @@ FlightOutcome ServerCore::execute(const scenario::ScenarioSpec& spec,
     outcome.error_message = error.what();
   }
   return outcome;
-}
-
-bool ServerCore::fetch_from_peer(const scenario::ScenarioSpec& spec,
-                                 std::uint64_t seed, FlightOutcome& outcome) {
-  try {
-    std::unique_ptr<Transport> transport = options_.peer();
-    if (!transport) {
-      count("serve.peer_error");
-      return false;
-    }
-    FetchClient client{std::move(transport)};
-    const Response response = client.get(spec, seed);
-    if (!response.ok || response.summary.empty()) {
-      count("serve.peer_miss");
-      return false;
-    }
-    if (response.hash != spec.content_hash()) {
-      count("serve.peer_error");
-      return false;
-    }
-    store_.prepare(spec, seed);
-    store_.write_summary(spec, seed, response.summary);
-    outcome.ok = true;
-    outcome.summary = response.summary;
-    outcome.hit = "peer";
-    count("serve.peer_hit");
-    return true;
-  } catch (const std::exception&) {
-    count("serve.peer_error");
-    return false;
-  }
 }
 
 void ServerCore::respond(Connection& conn, const std::string& response) {

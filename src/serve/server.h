@@ -61,11 +61,6 @@ struct ServeOptions {
   int worker_retry_ms = 50;
   /// Scenario catalog for name/hash-addressed GETs; null = builtin().
   const scenario::ScenarioRegistry* registry = nullptr;
-  /// Read-through peer: on a local miss the leader first asks the peer for
-  /// the entry and, on success, stores and serves its summary. Returning
-  /// null (or throwing) counts as a peer error and falls back to local
-  /// execution. The factory runs on executor threads.
-  std::function<std::unique_ptr<Transport>()> peer;
 };
 
 /// The protocol engine of `cloudrepro serve`: per-connection state machines
@@ -94,7 +89,6 @@ struct ServeOptions {
 ///   serve.get_errors                  GET outcomes delivered as errors
 ///   serve.single_flight_leader        flights opened (one campaign each)
 ///   serve.single_flight_coalesced     requests that shared an open flight
-///   serve.peer_hit / _miss / _error   read-through outcomes
 ///   serve.slow_client_drops           connections dropped over max_write_buffer
 ///   serve.requests_shard_pull / _shard_push
 ///   shard.sessions_opened             distributed campaigns started
@@ -251,10 +245,7 @@ class ServerCore {
       Connection& conn, const struct Request& request);
   std::string list_response() const;
   std::string stats_response();
-  FlightOutcome execute(const scenario::ScenarioSpec& spec, std::uint64_t seed,
-                        bool allow_peer = true);
-  bool fetch_from_peer(const scenario::ScenarioSpec& spec, std::uint64_t seed,
-                       FlightOutcome& outcome);
+  FlightOutcome execute(const scenario::ScenarioSpec& spec, std::uint64_t seed);
   void count(const char* name, double delta = 1.0);
 
   scenario::ResultStore& store_;

@@ -21,7 +21,7 @@ void SingleFlight::complete(const std::string& key, const FlightOutcome& outcome
     flights_.erase(it);
   }
   // Outside the lock: a callback may re-enter join() for a different key
-  // (peer read-through chaining) without deadlocking.
+  // without deadlocking.
   for (std::size_t i = 0; i < callbacks.size(); ++i) {
     callbacks[i](outcome, i == 0);
   }

@@ -14,7 +14,7 @@ namespace cloudrepro::serve {
 struct FlightOutcome {
   bool ok = false;
   std::string summary;        ///< Canonical summary bytes (ok only).
-  std::string hit;            ///< Leader's disposition: miss/partial/peer/hit.
+  std::string hit;            ///< Leader's disposition: miss/partial/hit.
   std::string error_code;     ///< !ok only.
   std::string error_message;  ///< !ok only.
 };

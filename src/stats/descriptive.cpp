@@ -4,38 +4,53 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "stats/streaming.h"
-
 namespace cloudrepro::stats {
 
-// The span-based moment functions are thin adapters over StreamingMoments:
-// one implementation shared with the O(1)-mergeable accumulators. Sequential
-// accumulation reproduces the old naive-sum mean bit-exactly; variance moves
-// from the two-pass formula to Welford's M2, which agrees within 1 ulp on
-// well-conditioned data (bounded by the streaming property suite).
+namespace {
 
-double mean(std::span<const double> xs) noexcept {
-  StreamingMoments m;
-  m.add_all(xs);
-  return m.mean();
+/// Every `Summary` field but the median, in one pass over `xs` in index
+/// order: a naive left-to-right sum, whose quotient is the mean, and the
+/// Youngs–Cramér running sum of squared deviations, which tracks the
+/// two-pass variance within a few ulps on well-conditioned data. Published
+/// summaries and goldens pin these bits, so the operations and their order
+/// must not change.
+Summary moments(std::span<const double> xs) noexcept {
+  Summary s;
+  double sum = 0.0;
+  double m2 = 0.0;
+  for (const double x : xs) {
+    ++s.count;
+    sum += x;
+    if (s.count == 1) {
+      s.min = s.max = x;
+    } else {
+      if (x < s.min) s.min = x;
+      if (x > s.max) s.max = x;
+      // With the running sum T_n including x: M2 += (n x - T_n)^2 / (n (n-1)).
+      const double n = static_cast<double>(s.count);
+      const double d = n * x - sum;
+      m2 += d * d / (n * (n - 1.0));
+    }
+  }
+  if (s.count > 0) s.mean = sum / static_cast<double>(s.count);
+  if (s.count > 1) s.variance = m2 / static_cast<double>(s.count - 1);
+  s.stddev = std::sqrt(s.variance);
+  s.coefficient_of_variation = s.mean == 0.0 ? 0.0 : s.stddev / s.mean;
+  return s;
 }
+
+}  // namespace
+
+double mean(std::span<const double> xs) noexcept { return moments(xs).mean; }
 
 double variance(std::span<const double> xs) noexcept {
-  StreamingMoments m;
-  m.add_all(xs);
-  return m.variance();
+  return moments(xs).variance;
 }
 
-double stddev(std::span<const double> xs) noexcept {
-  StreamingMoments m;
-  m.add_all(xs);
-  return m.stddev();
-}
+double stddev(std::span<const double> xs) noexcept { return moments(xs).stddev; }
 
 double coefficient_of_variation(std::span<const double> xs) noexcept {
-  StreamingMoments m;
-  m.add_all(xs);
-  return m.coefficient_of_variation();
+  return moments(xs).coefficient_of_variation;
 }
 
 std::vector<double> sorted(std::span<const double> xs) {
@@ -64,17 +79,8 @@ double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 
 Summary summarize(std::span<const double> xs) {
   if (xs.empty()) throw std::invalid_argument{"summarize: empty sample"};
-  StreamingMoments m;
-  m.add_all(xs);
-  Summary s;
-  s.count = m.count();
-  s.mean = m.mean();
+  Summary s = moments(xs);
   s.median = quantile(xs, 0.5);
-  s.variance = m.variance();
-  s.stddev = m.stddev();
-  s.coefficient_of_variation = m.coefficient_of_variation();
-  s.min = m.min();
-  s.max = m.max();
   return s;
 }
 

@@ -345,36 +345,6 @@ TestResult adf_test(std::span<const double> xs, int lags) {
   return TestResult{.statistic = t_stat, .p_value = p_value};
 }
 
-TestResult one_way_anova(std::span<const std::vector<double>> groups) {
-  if (groups.size() < 2) throw std::invalid_argument{"one_way_anova: need at least 2 groups"};
-  double grand_sum = 0.0;
-  double n_total = 0.0;
-  for (const auto& g : groups) {
-    if (g.empty()) throw std::invalid_argument{"one_way_anova: empty group"};
-    for (const double x : g) grand_sum += x;
-    n_total += static_cast<double>(g.size());
-  }
-  const double grand_mean = grand_sum / n_total;
-
-  double ss_between = 0.0;
-  double ss_within = 0.0;
-  for (const auto& g : groups) {
-    const double gm = mean(g);
-    ss_between += static_cast<double>(g.size()) * (gm - grand_mean) * (gm - grand_mean);
-    for (const double x : g) ss_within += (x - gm) * (x - gm);
-  }
-  const double df_between = static_cast<double>(groups.size()) - 1.0;
-  const double df_within = n_total - static_cast<double>(groups.size());
-  if (df_within <= 0.0) throw std::invalid_argument{"one_way_anova: not enough observations"};
-  if (ss_within == 0.0) {
-    const bool all_equal = ss_between == 0.0;
-    return TestResult{.statistic = all_equal ? 0.0 : 1e308, .p_value = all_equal ? 1.0 : 0.0};
-  }
-  const double f = (ss_between / df_between) / (ss_within / df_within);
-  const double p = 1.0 - f_cdf(f, df_between, df_within);
-  return TestResult{.statistic = f, .p_value = std::clamp(p, 0.0, 1.0)};
-}
-
 TestResult spearman_correlation(std::span<const double> x, std::span<const double> y) {
   if (x.size() != y.size()) {
     throw std::invalid_argument{"spearman_correlation: size mismatch"};

@@ -47,10 +47,6 @@ TestResult runs_test(std::span<const double> xs);
 /// values for the constant-only model.
 TestResult adf_test(std::span<const double> xs, int lags = 1);
 
-/// One-way analysis of variance across groups (F5.3 cites ANOVA as a classic
-/// robustness tool). Null hypothesis: all group means are equal.
-TestResult one_way_anova(std::span<const std::vector<double>> groups);
-
 /// Kruskal-Wallis H test: the non-parametric counterpart of one-way ANOVA,
 /// for the common cloud case where runtimes are nothing like normal (F5.4).
 /// Null hypothesis: all groups come from the same distribution.

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 
 namespace cloudrepro::stats {
 
@@ -90,20 +89,6 @@ double Rng::pareto(double scale, double shape) noexcept {
 }
 
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
-
-std::size_t Rng::zipf(std::size_t n, double s) {
-  if (n == 0) throw std::invalid_argument{"zipf: n must be positive"};
-  // Inverse-CDF over the finite support; n is small (cluster/partition
-  // counts), so the linear scan is negligible.
-  double norm = 0.0;
-  for (std::size_t k = 1; k <= n; ++k) norm += 1.0 / std::pow(k, s);
-  double u = uniform() * norm;
-  for (std::size_t k = 1; k <= n; ++k) {
-    u -= 1.0 / std::pow(k, s);
-    if (u <= 0.0) return k - 1;
-  }
-  return n - 1;
-}
 
 std::vector<std::size_t> Rng::permutation(std::size_t n) {
   std::vector<std::size_t> idx(n);

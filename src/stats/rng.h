@@ -48,10 +48,6 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) noexcept;
 
-  /// Zipf-distributed integer in [0, n): P(k) proportional to 1/(k+1)^s.
-  /// Used to generate partition skew in the big-data engine.
-  std::size_t zipf(std::size_t n, double s);
-
   /// Fisher-Yates shuffle of indices [0, n) — used for randomized
   /// experiment ordering (guideline F5.4).
   std::vector<std::size_t> permutation(std::size_t n);

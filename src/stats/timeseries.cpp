@@ -38,31 +38,6 @@ std::vector<double> windowed_medians(std::span<const double> xs, std::size_t win
   return out;
 }
 
-std::vector<double> rolling_mean(std::span<const double> xs, std::size_t window) {
-  std::vector<double> out;
-  if (window == 0 || xs.size() < window) return out;
-  out.reserve(xs.size() - window + 1);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < window; ++i) sum += xs[i];
-  out.push_back(sum / static_cast<double>(window));
-  for (std::size_t t = window; t < xs.size(); ++t) {
-    sum += xs[t] - xs[t - window];
-    out.push_back(sum / static_cast<double>(window));
-  }
-  return out;
-}
-
-std::vector<double> cumulative_sum(std::span<const double> xs) {
-  std::vector<double> out;
-  out.reserve(xs.size());
-  double sum = 0.0;
-  for (const double x : xs) {
-    sum += x;
-    out.push_back(sum);
-  }
-  return out;
-}
-
 std::size_t longest_run_around_median(std::span<const double> xs) {
   if (xs.size() < 2) return xs.size();
   const double med = median(xs);

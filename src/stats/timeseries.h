@@ -24,12 +24,6 @@ double max_sample_to_sample_variability(std::span<const double> xs);
 /// gather median performance for each interval".
 std::vector<double> windowed_medians(std::span<const double> xs, std::size_t window);
 
-/// Rolling mean with the given window (centered on trailing edge).
-std::vector<double> rolling_mean(std::span<const double> xs, std::size_t window);
-
-/// Cumulative sums — used for total-traffic curves (Figure 10).
-std::vector<double> cumulative_sum(std::span<const double> xs);
-
 /// Longest run of consecutive samples on the same side of the series median;
 /// long runs are the signature of regime-switching (token-bucket) behaviour
 /// rather than i.i.d. noise.

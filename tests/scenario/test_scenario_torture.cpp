@@ -12,6 +12,7 @@
 
 #include <csignal>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -104,7 +105,7 @@ TEST_F(ScenarioTortureTest, EveryCrashPointYieldsTheUninterruptedSummary) {
   const std::string reference = run_scenario(spec).summary;
 
   // Clean store-backed run through a counting vfs: its op total is the
-  // sweep domain (journal + lock + clock + summary publication ops).
+  // sweep domain (journal + lock + LRU stamp + summary publication ops).
   io::FaultVfs counting{real_};
   ResultStore store{root_ / "ref", nullptr, &counting};
   RunOptions options;
@@ -115,6 +116,59 @@ TEST_F(ScenarioTortureTest, EveryCrashPointYieldsTheUninterruptedSummary) {
   ASSERT_GT(total_ops, 20u);
 
   sweep(spec, reference, total_ops, /*stride=*/1);
+}
+
+TEST_F(ScenarioTortureTest, LruOrderSurvivesACrashAtEveryOpOfALookup) {
+  // A, B and C are published, then B and C are touched: A is the least
+  // recently used. A lookup of A that crashes at op k, then a restart that
+  // looks A up again, must leave B as the LRU victim — a crash may lose a
+  // freshening, never reset the recency of the entries it did not touch.
+  const auto spec = micro_spec();
+  constexpr std::uint64_t kA = 1;
+  constexpr std::uint64_t kB = 2;
+  constexpr std::uint64_t kC = 3;
+  for (std::uint64_t k = 1;; ++k) {
+    ASSERT_LT(k, 64u) << "the lookup never ran to completion";
+    const auto cache = root_ / ("k" + std::to_string(k));
+    {
+      ResultStore store{cache, nullptr, &real_};
+      for (const std::uint64_t seed : {kA, kB, kC}) {
+        store.write_summary(spec, seed, "{\"seed\":" + std::to_string(seed) + "}");
+      }
+      store.touch(spec, kB);
+      store.touch(spec, kC);
+    }
+
+    io::FaultVfsOptions fault;
+    fault.crash_at_op = k;
+    fault.torn_write_seed = k;
+    bool crashed = false;
+    {
+      io::FaultVfs vfs{real_, fault};
+      ResultStore store{cache, nullptr, &vfs};
+      try {
+        store.lookup(spec, kA);
+      } catch (const io::SimulatedCrash&) {
+        crashed = true;
+      }
+    }
+    if (!crashed) break;  // k is past the lookup's last op: all were swept.
+
+    ResultStore restarted{cache, nullptr, &real_};
+    restarted.lookup(spec, kA);
+    std::uintmax_t largest = 0;
+    for (const auto& entry : restarted.entries()) {
+      largest = std::max(largest, entry.bytes);
+    }
+    ResultStore::Options budget;
+    budget.max_bytes = 2 * largest;  // Room for two of the three entries.
+    ResultStore bounded{cache, nullptr, &real_, budget};
+    EXPECT_EQ(bounded.enforce_budget(), 1u) << "crash at op " << k;
+    EXPECT_TRUE(bounded.has_summary(spec, kA)) << "crash at op " << k;
+    EXPECT_FALSE(bounded.has_summary(spec, kB)) << "crash at op " << k;
+    EXPECT_TRUE(bounded.has_summary(spec, kC)) << "crash at op " << k;
+    EXPECT_FALSE(fs::exists(cache / "clock")) << "no store-wide clock file";
+  }
 }
 
 TEST_F(ScenarioTortureTest, CiSmokeStridedSweepWhenRequested) {

@@ -1,18 +1,16 @@
 // ServerCore driven hermetically over in-memory transports: per-connection
 // state machines under torn frames, pipelining, garbage, oversize lines,
-// backpressure (busy + slow-client), connection limits, corrupt-summary
-// recovery, and peer read-through — no sockets anywhere.
+// backpressure (busy + slow-client), connection limits and corrupt-summary
+// recovery — no sockets anywhere.
 
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -275,41 +273,22 @@ TEST_F(ServeCoreTest, ConnectionTableBoundRejectsTheOverflow) {
   EXPECT_EQ(core().connection_count(), 2u);
 }
 
-// A gate the test opens to let a blocked peer factory proceed (it then
-// throws, which the server treats as "no peer" and runs locally). Holding
-// the gate holds the leader's executor slot — the deterministic way to
-// observe the busy backpressure path.
-struct Gate {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool open = false;
-  void release() {
-    {
-      std::lock_guard<std::mutex> lock{mu};
-      open = true;
-    }
-    cv.notify_all();
-  }
-  void wait() {
-    std::unique_lock<std::mutex> lock{mu};
-    cv.wait(lock, [this] { return open; });
-  }
-};
-
 TEST_F(ServeCoreTest, FullExecutionQueueAnswersBusy) {
-  auto gate = std::make_shared<Gate>();
+  // The test holds A's entry lock, so A's leader waits in run_scenario's
+  // lock-poll loop and keeps the single inflight slot — the deterministic
+  // way to observe the busy backpressure path. The holder is this process
+  // and registered, so it reads as live, never as a stale lock to steal.
+  const ScenarioSpec spec_a = tiny_spec("serve-busy-a");
+  scenario::EntryLock gate = store_->try_lock(spec_a, spec_a.seed);
+  ASSERT_TRUE(gate);
   ServeOptions options;
   options.max_inflight = 1;
-  options.peer = [gate]() -> std::unique_ptr<Transport> {
-    gate->wait();
-    throw std::runtime_error{"no peer"};
-  };
   core(std::move(options));
 
   TestClient a = connect(core());
   TestClient b = connect(core());
 
-  send(core(), a, get_request_frame(tiny_spec("serve-busy-a"), std::nullopt));
+  send(core(), a, get_request_frame(spec_a, std::nullopt));
   core().poll_once();  // Admit A: leader occupies the single inflight slot.
   ASSERT_EQ(core().inflight(), 1u);
 
@@ -320,7 +299,7 @@ TEST_F(ServeCoreTest, FullExecutionQueueAnswersBusy) {
   EXPECT_EQ(busy->error_code, "busy");
   EXPECT_EQ(metrics_.counter_value("serve.busy_rejected"), 1.0);
 
-  gate->release();
+  gate.release();
   const auto ok = recv(core(), a);
   ASSERT_TRUE(ok && ok->ok);
   EXPECT_EQ(ok->hit, "miss");
@@ -385,60 +364,6 @@ TEST_F(ServeCoreTest, CorruptSummaryOnDiskIsEvictedAndReExecuted) {
   EXPECT_NE(response->hit, "hit") << "corrupt summary must not serve as a hit";
   EXPECT_EQ(response->summary, pristine);
   EXPECT_GE(metrics_.counter_value("scenario.cache.corrupt_summaries"), 1.0);
-}
-
-TEST_F(ServeCoreTest, PeerReadThroughServesWithoutLocalExecution) {
-  const ScenarioSpec spec = tiny_spec();
-
-  // Peer server A, warm.
-  obs::MetricsRegistry peer_metrics;
-  ResultStore peer_store{root_ / "peer-cache", &peer_metrics};
-  std::string pristine;
-  {
-    scenario::RunOptions run;
-    run.store = &peer_store;
-    pristine = scenario::run_scenario(spec, run).summary;
-  }
-  ServerCore peer_core{peer_store, peer_metrics, {}};
-  auto [peer_client_end, peer_server_end] = make_memory_pair();
-  ASSERT_NE(peer_core.add_connection(std::move(peer_server_end)), 0u);
-
-  // Local server B, cold, wired to read through A. The factory hands out
-  // the pre-connected endpoint (reactor-thread rule: only this test thread
-  // may add_connection on A, so the connection was made above).
-  auto slot = std::make_shared<std::unique_ptr<Transport>>(
-      std::move(peer_client_end));
-  ServeOptions options;
-  options.peer = [slot]() { return std::move(*slot); };
-  core(std::move(options));
-
-  TestClient client = connect(core());
-  send(core(), client, get_request_frame(spec, std::nullopt));
-
-  // Pump both reactors: B's executor blocks on the pipe until A answers.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{120};
-  std::optional<Response> response;
-  std::string frame;
-  while (!response) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-    peer_core.poll_once();
-    if (!core().poll_once()) core().wait_activity(std::chrono::milliseconds{1});
-    char buffer[4096];
-    const IoResult result = client.transport->read(buffer, sizeof buffer);
-    if (result.status == IoStatus::kOk) client.decoder.push({buffer, result.bytes});
-    if (client.decoder.next(frame) == FrameDecoder::Status::kFrame) {
-      response = parse_response(frame);
-    }
-  }
-
-  ASSERT_TRUE(response->ok);
-  EXPECT_EQ(response->hit, "peer");
-  EXPECT_EQ(response->summary, pristine);
-  EXPECT_EQ(metrics_.counter_value("serve.peer_hit"), 1.0);
-  EXPECT_EQ(metrics_.counter_value("campaign.measurements_executed"), 0.0)
-      << "read-through must not execute locally";
-  EXPECT_TRUE(store_->has_summary(spec, spec.seed));
-  EXPECT_EQ(peer_metrics.counter_value("serve.get_hit"), 1.0);
 }
 
 TEST_F(ServeCoreTest, ShutdownAnswersErrorAndDrains) {

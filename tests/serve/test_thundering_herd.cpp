@@ -7,11 +7,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -42,23 +40,6 @@ ScenarioSpec tiny_spec(const std::string& name = "serve-herd") {
   spec.repetitions = 3;
   return spec;
 }
-
-struct Gate {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool open = false;
-  void release() {
-    {
-      std::lock_guard<std::mutex> lock{mu};
-      open = true;
-    }
-    cv.notify_all();
-  }
-  void wait() {
-    std::unique_lock<std::mutex> lock{mu};
-    cv.wait(lock, [this] { return open; });
-  }
-};
 
 class ServeHerdTest : public ::testing::Test {
  protected:
@@ -100,18 +81,14 @@ class ServeHerdTest : public ::testing::Test {
 TEST_F(ServeHerdTest, EightConcurrentColdGetsExecuteTheCampaignExactlyOnce) {
   const ScenarioSpec spec = tiny_spec();
 
-  // The leader's execution first consults the (gated) peer factory, so the
-  // campaign cannot start — or finish — before every herd member has
-  // joined the flight. No sleeps, no races: admission is observed through
-  // the single-flight counters, then the gate opens (the factory throws,
-  // which falls back to local execution).
-  auto gate = std::make_shared<Gate>();
-  ServeOptions options;
-  options.peer = [gate]() -> std::unique_ptr<Transport> {
-    gate->wait();
-    throw std::runtime_error{"no peer"};
-  };
-  core_.emplace(*store_, metrics_, std::move(options));
+  // The test holds the entry lock (this process, registered: a live
+  // holder), so the leader's run_scenario waits in its lock-poll loop and
+  // the campaign cannot start — or finish — before every herd member has
+  // joined the flight. Admission is observed through the single-flight
+  // counters, then the lock is released and the leader takes it.
+  scenario::EntryLock gate = store_->try_lock(spec, spec.seed);
+  ASSERT_TRUE(gate);
+  core_.emplace(*store_, metrics_, ServeOptions{});
 
   // Reactor-thread rule: all connections are made here, before the client
   // threads start driving their endpoints.
@@ -148,7 +125,7 @@ TEST_F(ServeHerdTest, EightConcurrentColdGetsExecuteTheCampaignExactlyOnce) {
         metrics_.counter_value("serve.single_flight_leader") +
                 metrics_.counter_value("serve.single_flight_coalesced") >=
             kHerd) {
-      gate->release();
+      gate.release();
       released = true;
     }
     if (!core_->poll_once()) core_->wait_activity(std::chrono::milliseconds{1});

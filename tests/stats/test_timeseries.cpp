@@ -45,29 +45,6 @@ TEST(TimeseriesTest, WindowedMediansEdgeCases) {
   EXPECT_EQ(windowed_medians(xs, 2).size(), 1u);
 }
 
-TEST(TimeseriesTest, RollingMean) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  const auto rm = rolling_mean(xs, 2);
-  ASSERT_EQ(rm.size(), 3u);
-  EXPECT_DOUBLE_EQ(rm[0], 1.5);
-  EXPECT_DOUBLE_EQ(rm[1], 2.5);
-  EXPECT_DOUBLE_EQ(rm[2], 3.5);
-}
-
-TEST(TimeseriesTest, RollingMeanFullWindowIsGlobalMean) {
-  const std::vector<double> xs{2.0, 4.0, 6.0};
-  const auto rm = rolling_mean(xs, 3);
-  ASSERT_EQ(rm.size(), 1u);
-  EXPECT_DOUBLE_EQ(rm[0], 4.0);
-}
-
-TEST(TimeseriesTest, CumulativeSum) {
-  const std::vector<double> xs{1.0, 2.0, 3.0};
-  const auto cs = cumulative_sum(xs);
-  EXPECT_EQ(cs, (std::vector<double>{1.0, 3.0, 6.0}));
-  EXPECT_TRUE(cumulative_sum({}).empty());
-}
-
 TEST(TimeseriesTest, LongestRunDetectsRegimes) {
   // 5 below then 5 above the median -> longest run 5.
   const std::vector<double> xs{1, 1, 1, 1, 1, 9, 9, 9, 9, 9};
