@@ -11,7 +11,7 @@
 #include "core/report.h"
 #include "measure/iperf.h"
 #include "measure/patterns.h"
-#include "stats/histogram.h"
+#include "stats/ecdf.h"
 
 using namespace cloudrepro;
 

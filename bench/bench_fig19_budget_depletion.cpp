@@ -17,7 +17,6 @@
 #include "cloud/instances.h"
 #include "core/confirm.h"
 #include "core/report.h"
-#include "obs/obs.h"
 #include "obs/trace.h"
 #include "simnet/qos.h"
 #include "stats/descriptive.h"
@@ -76,7 +75,6 @@ void detail(const char* name, const std::vector<double>& runtimes) {
             << "\n\n";
 }
 
-#if CLOUDREPRO_OBS
 /// The same depletion story, but read off the simulator's event trace
 /// instead of engine-level results: every token-bucket high->low transition
 /// is a `bucket_depleted` instant stamped with simulated time, so the
@@ -122,7 +120,6 @@ void traced_depletion_timeline() {
                "from trace events alone — the observability layer sees the same\n"
                "hidden state the runtime statistics only show indirectly.\n\n";
 }
-#endif
 
 }  // namespace
 
@@ -135,12 +132,7 @@ int main() {
   detail("TPC-DS Query 82 (budget-agnostic)", run_schedule(bigdata::tpcds_query(82), rng));
   detail("TPC-DS Query 65 (budget-dependent)", run_schedule(bigdata::tpcds_query(65), rng));
 
-#if CLOUDREPRO_OBS
   traced_depletion_timeline();
-#else
-  std::cout << "(trace-derived depletion timeline omitted: built with "
-               "CLOUDREPRO_OBS=OFF)\n\n";
-#endif
 
   cloudrepro::bench::section("All 21 queries: how many produce poor median estimates?");
   int poor = 0;

@@ -5,7 +5,7 @@
 // scheduler records wall-clock measurement spans, the engine records
 // sim-time stage/job spans and retry/speculation instants, the fluid
 // network records flow and token-bucket transitions, and the fault injector
-// stamps every injected event. The run ends with:
+// stamps every injected event. The run ends by exporting both sinks:
 //
 //   traced_campaign_trace.json    — open in chrome://tracing or
 //                                   https://ui.perfetto.dev (pid 0 = wall
@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -31,7 +32,6 @@
 #include "core/report.h"
 #include "faults/fault_plan.h"
 #include "obs/metrics.h"
-#include "obs/obs.h"
 #include "obs/trace.h"
 #include "simnet/qos.h"
 #include "stats/rng.h"
@@ -104,15 +104,24 @@ int main(int argc, char** argv) {
 
   core::CampaignOptions opt;
   opt.repetitions_per_cell = 5;
-  opt.trace_path = trace_path;
-  opt.metrics_path = metrics_path;
   opt.tracer = &tracer;
   opt.metrics = &metrics;
 
   const auto result = core::run_campaign(cells, opt, /*seed=*/20200225u);
   core::print_campaign_summary(std::cout, result);
 
-#if CLOUDREPRO_OBS
+  std::ofstream trace_out{trace_path};
+  tracer.write_chrome_json(trace_out);
+  std::ofstream metrics_out{metrics_path};
+  metrics.write_json(metrics_out);
+  trace_out.close();
+  metrics_out.close();
+  if (!trace_out || !metrics_out) {
+    std::cerr << "traced_campaign: cannot write " << trace_path.string() << " or "
+              << metrics_path.string() << '\n';
+    return 1;
+  }
+
   std::cout << "\n--- Telemetry reconciliation ---\n"
             << "engine.task_retries (metrics counter): "
             << metrics.counter_value("engine.task_retries") << '\n'
@@ -129,9 +138,5 @@ int main(int argc, char** argv) {
             << std::filesystem::file_size(trace_path) << " bytes) — load it in "
             << "chrome://tracing or https://ui.perfetto.dev\n"
             << "Wrote " << metrics_path.string() << '\n';
-#else
-  std::cout << "\n(built with CLOUDREPRO_OBS=OFF: instrumentation compiled "
-               "out, no trace/metrics files written)\n";
-#endif
   return 0;
 }

@@ -9,7 +9,6 @@
 #include "cloud/tc_emulator.h"
 #include "faults/injector.h"
 #include "obs/metrics.h"
-#include "obs/obs.h"
 #include "obs/trace.h"
 #include "simnet/fluid_network.h"
 #include "simnet/token_bucket.h"
@@ -151,15 +150,14 @@ class JobExecution {
         recorder_.observe(n, t, dt);
       });
     }
-    CLOUDREPRO_OBS_STMT(
-        net_.set_observability(opt_.tracer, opt_.metrics);
-        injector_.set_tracer(opt_.tracer);
-        if (opt_.metrics) {
-          c_task_retries_ = &opt_.metrics->counter("engine.task_retries");
-          c_speculations_ = &opt_.metrics->counter("engine.speculative_launches");
-          c_nodes_lost_ = &opt_.metrics->counter("engine.nodes_lost");
-          c_jobs_ = &opt_.metrics->counter("engine.jobs");
-        })
+    net_.set_observability(opt_.tracer, opt_.metrics);
+    injector_.set_tracer(opt_.tracer);
+    if (opt_.metrics) {
+      c_task_retries_ = &opt_.metrics->counter("engine.task_retries");
+      c_speculations_ = &opt_.metrics->counter("engine.speculative_launches");
+      c_nodes_lost_ = &opt_.metrics->counter("engine.nodes_lost");
+      c_jobs_ = &opt_.metrics->counter("engine.jobs");
+    }
   }
 
   JobResult execute() {
@@ -307,15 +305,12 @@ class JobExecution {
       }
     }
 
-    CLOUDREPRO_OBS_STMT(
-        if (opt_.tracer) {
-          opt_.tracer->complete(st_.start, net_.now() - st_.start, "engine",
-                                "stage",
-                                {"stage", static_cast<double>(stage_idx_)},
-                                {"retries", static_cast<double>(st_.retries)}, 0,
-                                1);
-        }
-        ++stage_idx_;)
+    if (opt_.tracer) {
+      opt_.tracer->complete(st_.start, net_.now() - st_.start, "engine", "stage",
+                            {"stage", static_cast<double>(stage_idx_)},
+                            {"retries", static_cast<double>(st_.retries)}, 0, 1);
+    }
+    ++stage_idx_;
   }
 
   bool stage_flows_pending() const {
@@ -420,13 +415,12 @@ class JobExecution {
     draining_[k] = 0;
     cluster_.fail_node(k);
     ++result_.recovery.nodes_lost;
-    CLOUDREPRO_OBS_STMT(
-        if (c_nodes_lost_) c_nodes_lost_->add();
-        if (opt_.tracer) {
-          opt_.tracer->instant(net_.now(), "engine", "node_crash",
-                               {"node", static_cast<double>(k)}, {},
-                               static_cast<std::uint32_t>(k), 1);
-        })
+    if (c_nodes_lost_) c_nodes_lost_->add();
+    if (opt_.tracer) {
+      opt_.tracer->instant(net_.now(), "engine", "node_crash",
+                           {"node", static_cast<double>(k)}, {},
+                           static_cast<std::uint32_t>(k), 1);
+    }
     if (alive_count() < 2) {
       throw std::runtime_error{
           "SparkEngine: too many node failures — fewer than 2 nodes remain"};
@@ -465,14 +459,13 @@ class JobExecution {
 
     ++st_.retries;
     ++result_.recovery.task_retries;
-    CLOUDREPRO_OBS_STMT(
-        if (c_task_retries_) c_task_retries_->add();
-        if (opt_.tracer) {
-          opt_.tracer->instant(net_.now(), "engine", "task_retry",
-                               {"node", static_cast<double>(k)},
-                               {"attempt", static_cast<double>(st_.retries)},
-                               static_cast<std::uint32_t>(k), 1);
-        })
+    if (c_task_retries_) c_task_retries_->add();
+    if (opt_.tracer) {
+      opt_.tracer->instant(net_.now(), "engine", "task_retry",
+                           {"node", static_cast<double>(k)},
+                           {"attempt", static_cast<double>(st_.retries)},
+                           static_cast<std::uint32_t>(k), 1);
+    }
     if (st_.retries > opt_.retry.max_attempts) {
       throw std::runtime_error{"SparkEngine: stage retry budget exhausted"};
     }
@@ -573,14 +566,13 @@ class JobExecution {
       st_.speculated[straggler] = 1;
       ++result_.recovery.speculative_launches;
       result_.recovery.speculated_gbit += remaining;
-      CLOUDREPRO_OBS_STMT(
-          if (c_speculations_) c_speculations_->add();
-          if (opt_.tracer) {
-            opt_.tracer->instant(net_.now(), "engine", "speculation",
-                                 {"straggler", static_cast<double>(straggler)},
-                                 {"gbit", remaining},
-                                 static_cast<std::uint32_t>(straggler), 1);
-          })
+      if (c_speculations_) c_speculations_->add();
+      if (opt_.tracer) {
+        opt_.tracer->instant(net_.now(), "engine", "speculation",
+                             {"straggler", static_cast<double>(straggler)},
+                             {"gbit", remaining},
+                             static_cast<std::uint32_t>(straggler), 1);
+      }
       for (const auto id : victim_flows) {
         const double rem = net_.flow(id).remaining_gbit;
         const std::size_t dst = net_.flow(id).dst;
@@ -602,17 +594,16 @@ class JobExecution {
 
   void finalize() {
     result_.runtime_s = net_.now();
-    CLOUDREPRO_OBS_STMT(
-        if (c_jobs_) c_jobs_->add();
-        if (opt_.tracer) {
-          // Each job starts its own fluid network at t = 0, so the job span
-          // covers [0, runtime] in that job's simulated-time frame.
-          opt_.tracer->complete(
-              0.0, result_.runtime_s, "engine", "job",
-              {"retries", static_cast<double>(result_.recovery.task_retries)},
-              {"nodes_lost", static_cast<double>(result_.recovery.nodes_lost)},
-              0, 1);
-        })
+    if (c_jobs_) c_jobs_->add();
+    if (opt_.tracer) {
+      // Each job starts its own fluid network at t = 0, so the job span
+      // covers [0, runtime] in that job's simulated-time frame.
+      opt_.tracer->complete(
+          0.0, result_.runtime_s, "engine", "job",
+          {"retries", static_cast<double>(result_.recovery.task_retries)},
+          {"nodes_lost", static_cast<double>(result_.recovery.nodes_lost)},
+          0, 1);
+    }
     if (opt_.timeline_interval_s > 0.0) result_.timelines = recorder_.take();
 
     // Straggler analysis on *effective egress rates* (sent / busy): mere load

@@ -145,8 +145,7 @@ struct EngineOptions {
   /// run wires them through the fluid network and fault injector, records
   /// stage / job spans and crash / retry / speculation instants in simulated
   /// time, and bumps the `engine.*` counters — which reconcile exactly with
-  /// the job's `RecoveryStats`. Ignored when CLOUDREPRO_OBS compiles the
-  /// instrumentation out.
+  /// the job's `RecoveryStats`.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 };

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -17,7 +16,6 @@
 #include "core/report.h"
 #include "io/vfs.h"
 #include "obs/metrics.h"
-#include "obs/obs.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
 
@@ -59,8 +57,8 @@ struct TaskObs {
   obs::Counter* executed = nullptr;
   std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
 
-  TaskObs(obs::Tracer* tracer_, obs::MetricsRegistry* metrics) : tracer(tracer_) {
-    if (metrics) {
+  explicit TaskObs(const CampaignOptions& options) : tracer(options.tracer) {
+    if (auto* metrics = options.metrics) {
       cell_wall = &metrics->histogram("campaign.cell_wall_s");
       queue_depth = &metrics->histogram("campaign.journal_queue_depth");
       executed = &metrics->counter("campaign.measurements_executed");
@@ -76,7 +74,7 @@ struct TaskObs {
 bool run_tasks(const std::vector<CampaignCell>& cells,
                const CampaignOptions& options, std::uint64_t seed,
                const std::vector<std::size_t>& order, CampaignRecords& records,
-               const RecordSink& sink, [[maybe_unused]] const TaskObs& obs) {
+               const RecordSink& sink, const TaskObs& obs) {
   // The work list, in `order`. Adaptive cells run whole: their repetitions
   // must go in order, so the executed set is a per-cell prefix at any
   // interruption point and the ConfirmMonitor, a pure function of the
@@ -119,21 +117,20 @@ bool run_tasks(const std::vector<CampaignCell>& cells,
             (metered && budget.fetch_sub(1, std::memory_order_relaxed) <= 0)) {
           return false;
         }
-        CLOUDREPRO_OBS_STMT(const double m_start = obs.wall_s();)
+        const double m_start = obs.wall_s();
         cells[idx].fresh();
         stats::Rng rep_rng{campaign_repetition_seed(seed, idx, r)};
         const double value = cells[idx].run_once(rep_rng);
         records.measured(idx, r, value);
-        CLOUDREPRO_OBS_STMT(
-            const double m_dur = obs.wall_s() - m_start;
-            if (obs.cell_wall) obs.cell_wall->observe(m_dur);
-            if (obs.executed) obs.executed->add();
-            if (obs.tracer) {
-              obs.tracer->complete(m_start, m_dur, "campaign", "measurement",
-                                   {"cell", static_cast<double>(idx)},
-                                   {"rep", static_cast<double>(r)},
-                                   static_cast<std::uint32_t>(idx), 0);
-            })
+        const double m_dur = obs.wall_s() - m_start;
+        if (obs.cell_wall) obs.cell_wall->observe(m_dur);
+        if (obs.executed) obs.executed->add();
+        if (obs.tracer) {
+          obs.tracer->complete(m_start, m_dur, "campaign", "measurement",
+                               {"cell", static_cast<double>(idx)},
+                               {"rep", static_cast<double>(r)},
+                               static_cast<std::uint32_t>(idx), 0);
+        }
         emit(journal_line({idx, r, value}));
       }
       if (monitor && monitor->add(records.value(idx, r))) {
@@ -221,10 +218,9 @@ bool run_tasks(const std::vector<CampaignCell>& cells,
       landed = finished == tasks.size();
     }
     // Backlog at this swap: how far the workers ran ahead of the writer.
-    CLOUDREPRO_OBS_STMT(
-        if (obs.queue_depth && !batch.empty()) {
-          obs.queue_depth->observe(static_cast<double>(batch.size()));
-        })
+    if (obs.queue_depth && !batch.empty()) {
+      obs.queue_depth->observe(static_cast<double>(batch.size()));
+    }
     for (const auto& line : batch) {
       if (sink_error) break;
       try {
@@ -247,12 +243,7 @@ bool run_cells(const std::vector<CampaignCell>& cells,
                const CampaignOptions& options, std::uint64_t seed,
                const std::vector<std::size_t>& order, CampaignRecords& records,
                const RecordSink& sink) {
-#if CLOUDREPRO_OBS
-  const TaskObs obs{options.tracer, options.metrics};
-#else
-  const TaskObs obs{nullptr, nullptr};
-#endif
-  return run_tasks(cells, options, seed, order, records, sink, obs);
+  return run_tasks(cells, options, seed, order, records, sink, TaskObs{options});
 }
 
 std::uint64_t campaign_repetition_seed(std::uint64_t master, std::size_t cell,
@@ -335,27 +326,10 @@ CampaignResult run_campaign(std::vector<CampaignCell> cells,
     }
   }
 
-  // Observability sinks: external when supplied, owned when only a path was
-  // given. All campaign events live in the wall-clock domain (track 0,
-  // seconds since campaign start) — per-measurement sim time is the cells'
-  // business, not ours.
-  std::unique_ptr<obs::Tracer> owned_tracer;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics;
-  obs::Tracer* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-#if CLOUDREPRO_OBS
-  tracer = options.tracer;
-  metrics = options.metrics;
-  if (!tracer && !options.trace_path.empty()) {
-    owned_tracer = std::make_unique<obs::Tracer>();
-    tracer = owned_tracer.get();
-  }
-  if (!metrics && !options.metrics_path.empty()) {
-    owned_metrics = std::make_unique<obs::MetricsRegistry>();
-    metrics = owned_metrics.get();
-  }
-#endif
-  const TaskObs obs{tracer, metrics};
+  // All campaign events live in the wall-clock domain (track 0, seconds
+  // since campaign start) — per-measurement sim time is the cells' business,
+  // not ours.
+  const TaskObs obs{options};
 
   // Randomized execution order over (cell, repetition) pairs would break
   // per-cell warm-up symmetry; the paper randomizes at the experiment level,
@@ -431,34 +405,16 @@ CampaignResult run_campaign(std::vector<CampaignCell> cells,
     }
   }
 
-#if CLOUDREPRO_OBS
-  if (metrics && result.resumed_measurements > 0) {
-    metrics->counter("campaign.measurements_resumed")
+  if (options.metrics && result.resumed_measurements > 0) {
+    options.metrics->counter("campaign.measurements_resumed")
         .add(static_cast<double>(result.resumed_measurements));
   }
-  if (tracer) {
-    tracer->complete(0.0, obs.wall_s(), "campaign", "campaign",
-                     {"cells", static_cast<double>(cells.size())},
-                     {"reps", static_cast<double>(options.repetitions_per_cell)},
-                     0, 0);
+  if (obs.tracer) {
+    obs.tracer->complete(0.0, obs.wall_s(), "campaign", "campaign",
+                         {"cells", static_cast<double>(cells.size())},
+                         {"reps", static_cast<double>(options.repetitions_per_cell)},
+                         0, 0);
   }
-  if (tracer && !options.trace_path.empty()) {
-    std::ofstream out{options.trace_path};
-    if (!out) {
-      throw std::runtime_error{"run_campaign: cannot write trace " +
-                               options.trace_path.string()};
-    }
-    tracer->write_chrome_json(out);
-  }
-  if (metrics && !options.metrics_path.empty()) {
-    std::ofstream out{options.metrics_path};
-    if (!out) {
-      throw std::runtime_error{"run_campaign: cannot write metrics " +
-                               options.metrics_path.string()};
-    }
-    metrics->write_json(out);
-  }
-#endif
   return result;
 }
 

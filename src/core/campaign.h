@@ -127,26 +127,18 @@ struct CampaignOptions {
   io::Vfs* vfs = nullptr;
 
   // --- Observability (src/obs) -------------------------------------------
-  // None of these participate in the journal header: instrumentation does
+  // Neither sink participates in the journal header: instrumentation does
   // not change what a campaign computes, so a journal written with tracing
   // on resumes with tracing off and vice versa.
 
-  /// When non-empty, the campaign writes a chrome://tracing-loadable
-  /// trace_event JSON file here on completion.
-  std::filesystem::path trace_path{};
-
-  /// When non-empty, the campaign writes a metrics-registry JSON snapshot
-  /// here on completion.
-  std::filesystem::path metrics_path{};
-
-  /// External sinks. When null and the corresponding path above is set, the
-  /// campaign creates (and owns) its own. Campaign instrumentation records
-  /// per-measurement wall-time spans (lane = cell index, track 0), a
-  /// `campaign.cell_wall_s` histogram, the journal-writer backlog as
-  /// `campaign.journal_queue_depth` (with threads > 1 or a pool: the records
-  /// waiting each time the writer takes a batch), and
-  /// `campaign.measurements_executed` / `campaign.measurements_resumed`
-  /// counters. Ignored when CLOUDREPRO_OBS compiles instrumentation out.
+  /// Sinks the campaign records into; null records nothing, and exporting
+  /// them (`Tracer::write_chrome_json`, `MetricsRegistry::write_json`) is
+  /// the caller's job. Campaign instrumentation records per-measurement
+  /// wall-time spans (lane = cell index, track 0), a `campaign.cell_wall_s`
+  /// histogram, the journal-writer backlog as `campaign.journal_queue_depth`
+  /// (with threads > 1 or a pool: the records waiting each time the writer
+  /// takes a batch), and `campaign.measurements_executed` /
+  /// `campaign.measurements_resumed` counters.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 };

@@ -24,9 +24,10 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Minimal field extraction for our own journal records (no JSON library in
-/// the image; the format is machine-written, and the checksum already vouches
-/// for the bytes).
+/// Minimal field extraction for our own journal records. core sits below
+/// scenario, so scenario's JSON parser is out of reach here, and none is
+/// needed: the program wrote these bytes itself, and the CRC vouches for
+/// them.
 bool extract_field(const std::string& text, const std::string& key,
                    std::string& out) {
   const std::string needle = "\"" + key + "\":";

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "obs/obs.h"
 #include "obs/trace.h"
 
 namespace cloudrepro::faults {
@@ -20,13 +19,12 @@ double FaultInjector::next_time() const noexcept {
 FaultEvent FaultInjector::pop() {
   const FaultEvent event = queue_.top().event;
   queue_.pop();
-  CLOUDREPRO_OBS_STMT(
-      if (tracer_) {
-        tracer_->instant(event.at_s, "faults", to_string(event.kind),
-                         {"node", static_cast<double>(event.node)},
-                         {"magnitude", event.magnitude},
-                         static_cast<std::uint32_t>(event.node), 1);
-      })
+  if (tracer_) {
+    tracer_->instant(event.at_s, "faults", to_string(event.kind),
+                     {"node", static_cast<double>(event.node)},
+                     {"magnitude", event.magnitude},
+                     static_cast<std::uint32_t>(event.node), 1);
+  }
   return event;
 }
 

@@ -47,7 +47,6 @@ class FaultInjector {
   /// Attaches a tracer (null clears): every popped event — planned faults
   /// and synthetic follow-ups alike — is recorded as an instant at its
   /// scheduled simulated time, lane = struck node, named after its kind.
-  /// No-op when the observability layer is compiled out.
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
  private:

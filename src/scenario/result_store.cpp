@@ -287,6 +287,13 @@ std::filesystem::path ResultStore::prepare(const ScenarioSpec& spec,
   return dir / "journal.jsonl";
 }
 
+void ResultStore::discard_journal(const ScenarioSpec& spec, std::uint64_t seed) {
+  // Summary first: a crash in between must not leave a summary without the
+  // journal it was derived from.
+  vfs_->remove(summary_path(spec, seed));
+  vfs_->remove(journal_path(spec, seed));
+}
+
 bool ResultStore::has_summary(const ScenarioSpec& spec, std::uint64_t seed) const {
   return vfs_->exists(summary_path(spec, seed));
 }

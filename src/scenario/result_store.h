@@ -126,6 +126,11 @@ class ResultStore {
   /// returns the journal path for `CampaignOptions::journal_path`.
   std::filesystem::path prepare(const ScenarioSpec& spec, std::uint64_t seed);
 
+  /// Deletes the entry's journal and any summary, keeping `scenario.json`
+  /// and `lock`: the recovery for a journal that failed its header check,
+  /// which the caller re-runs cold under the entry lock it still holds.
+  void discard_journal(const ScenarioSpec& spec, std::uint64_t seed);
+
   bool has_summary(const ScenarioSpec& spec, std::uint64_t seed) const;
   /// Exact bytes written by `write_summary`; nullopt when absent. No
   /// validation — pair with `read_summary_checked` when serving cache hits.

@@ -293,13 +293,13 @@ ScenarioRunResult run_scenario(const ScenarioSpec& spec, const RunOptions& optio
     campaign = core::run_campaign(std::move(cells), campaign_opts, seed);
   } catch (const core::JournalMismatch&) {
     // A journal written by an older build (different header) or with
-    // out-of-range records. Content addressing makes the entry worthless,
-    // not the run: evict it and redo the campaign cold. The type is
-    // specific so real I/O failures (ENOSPC, EIO) can never trigger an
-    // evict-and-retry that would silently discard completed work.
+    // out-of-range records. Content addressing makes the journal worthless,
+    // not the run: discard it and redo the campaign cold, still holding the
+    // entry lock. The type is specific so real I/O failures (ENOSPC, EIO)
+    // can never trigger a discard-and-retry that would silently throw away
+    // completed work.
     if (!options.store) throw;
-    options.store->evict(spec, seed);
-    campaign_opts.journal_path = options.store->prepare(spec, seed);
+    options.store->discard_journal(spec, seed);
     campaign = core::run_campaign(build_cells(spec), campaign_opts, seed);
   }
 

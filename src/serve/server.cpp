@@ -400,13 +400,9 @@ bool ServerCore::open_shard_session(const scenario::ScenarioSpec& spec,
                                            records->header(), cells.size(),
                                            copts.repetitions_per_cell));
     } catch (const core::JournalMismatch&) {
-      // A journal from a different grid/build: evict and go cold, exactly
-      // as run_scenario would.
-      lock.release();
-      store_.evict(spec, seed);
-      journal_path = store_.prepare(spec, seed);
-      lock = store_.try_lock(spec, seed);
-      if (!lock) return false;
+      // A journal from a different grid/build: discard it and go cold under
+      // the lock, exactly as run_scenario does.
+      store_.discard_journal(spec, seed);
       records = std::make_unique<core::CampaignRecords>(cells, copts, seed);
     }
     ShardSession session;

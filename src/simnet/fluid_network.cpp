@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
-#include "obs/obs.h"
 #include "obs/trace.h"
 
 namespace cloudrepro::simnet {
@@ -26,13 +25,12 @@ NodeId FluidNetwork::add_node(std::unique_ptr<QosPolicy> egress, double ingress_
   nodes_.push_back(Node{std::move(egress), ingress_cap_gbps});
   egress_rate_.push_back(0.0);
   ingress_rate_.push_back(0.0);
-  CLOUDREPRO_OBS_STMT(if (tracer_) install_bucket_hook(nodes_.size() - 1);)
+  if (tracer_) install_bucket_hook(nodes_.size() - 1);
   return nodes_.size() - 1;
 }
 
 void FluidNetwork::set_observability(obs::Tracer* tracer,
                                      obs::MetricsRegistry* metrics) {
-#if CLOUDREPRO_OBS
   tracer_ = tracer;
   if (metrics) {
     c_allocations_ = &metrics->counter("simnet.allocations");
@@ -45,10 +43,6 @@ void FluidNetwork::set_observability(obs::Tracer* tracer,
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     install_bucket_hook(id);
   }
-#else
-  (void)tracer;
-  (void)metrics;
-#endif
 }
 
 void FluidNetwork::install_bucket_hook(NodeId id) {
@@ -95,13 +89,12 @@ FlowId FluidNetwork::start_flow(NodeId src, NodeId dst, double gbit) {
   flows_.push_back(f);
   active_slot_.push_back(active_ids_.size());
   active_ids_.push_back(flows_.size() - 1);
-  CLOUDREPRO_OBS_STMT(
-      if (c_flows_started_) c_flows_started_->add();
-      if (tracer_) {
-        tracer_->instant(now_, "simnet", "flow_start",
-                         {"flow", static_cast<double>(flows_.size() - 1)},
-                         {"gbit", gbit}, static_cast<std::uint32_t>(src), 1);
-      })
+  if (c_flows_started_) c_flows_started_->add();
+  if (tracer_) {
+    tracer_->instant(now_, "simnet", "flow_start",
+                     {"flow", static_cast<double>(flows_.size() - 1)},
+                     {"gbit", gbit}, static_cast<std::uint32_t>(src), 1);
+  }
   return flows_.size() - 1;
 }
 
@@ -130,14 +123,13 @@ void FluidNetwork::remove_active_at(std::size_t slot) {
   const Flow& f = flows_[id];
   // Every deactivation path (completion, stop_flow, fail_node) funnels
   // through here, so this is the single flow-end observation point.
-  CLOUDREPRO_OBS_STMT(
-      if (c_flows_completed_) c_flows_completed_->add();
-      if (tracer_) {
-        tracer_->instant(now_, "simnet", "flow_end",
-                         {"flow", static_cast<double>(id)},
-                         {"transferred_gbit", f.transferred_gbit},
-                         static_cast<std::uint32_t>(f.src), 1);
-      })
+  if (c_flows_completed_) c_flows_completed_->add();
+  if (tracer_) {
+    tracer_->instant(now_, "simnet", "flow_end",
+                     {"flow", static_cast<double>(id)},
+                     {"transferred_gbit", f.transferred_gbit},
+                     static_cast<std::uint32_t>(f.src), 1);
+  }
   egress_rate_[f.src] -= f.rate_gbps;
   ingress_rate_[f.dst] -= f.rate_gbps;
   active_slot_[id] = kNoSlot;
@@ -307,13 +299,12 @@ double FluidNetwork::allocate_rates() {
     }
   }
 
-  CLOUDREPRO_OBS_STMT(
-      if (c_allocations_) c_allocations_->add();
-      if (tracer_) {
-        tracer_->instant(now_, "simnet", "reallocate",
-                         {"active_flows", static_cast<double>(active_ids_.size())},
-                         {}, 0, 1);
-      })
+  if (c_allocations_) c_allocations_->add();
+  if (tracer_) {
+    tracer_->instant(now_, "simnet", "reallocate",
+                     {"active_flows", static_cast<double>(active_ids_.size())},
+                     {}, 0, 1);
+  }
   return first_completion;
 }
 
@@ -324,9 +315,8 @@ void FluidNetwork::step_once(double t_bound) {
     dt = std::min(dt, nodes_[i].egress->time_until_change(node_egress_rate(i)));
   }
   dt = std::max(dt, kTimeEpsilon);
-  CLOUDREPRO_OBS_STMT(
-      step_end_ = now_ + dt;
-      if (c_steps_) c_steps_->add();)
+  step_end_ = now_ + dt;
+  if (c_steps_) c_steps_->add();
 
   // Advance QoS state with the realized per-node *wire* rates (retransmitted
   // bytes drain the token budget like any others), then move the data.

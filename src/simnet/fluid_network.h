@@ -127,14 +127,13 @@ class FluidNetwork {
 
   void set_step_observer(StepObserver observer) { observer_ = std::move(observer); }
 
-  // --- Observability (src/obs; compiled out with CLOUDREPRO_OBS=0) ---------
+  // --- Observability (src/obs) ---------------------------------------------
 
   /// Attaches a tracer and/or metrics registry (either may be null). Traced:
   /// flow starts/ends, rate reallocations, and token-bucket depletion /
   /// recovery transitions (stamped with simulated time, lane = node id,
   /// track 1). Counted: `simnet.allocations`, `simnet.steps`,
-  /// `simnet.flows_started`, `simnet.flows_completed`. A no-op when the
-  /// observability layer is compiled out.
+  /// `simnet.flows_started`, `simnet.flows_completed`.
   void set_observability(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
   obs::Tracer* tracer() const noexcept { return tracer_; }

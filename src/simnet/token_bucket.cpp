@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/obs.h"
 #include "simnet/units.h"
 
 namespace cloudrepro::simnet {
@@ -44,10 +43,10 @@ void TokenBucket::advance(double dt, double rate_gbps) noexcept {
   budget_ = std::clamp(budget_ - net_drain * dt, 0.0, config_.capacity_gbit);
   if (!low_mode_ && budget_ <= 0.0) {
     low_mode_ = true;
-    CLOUDREPRO_OBS_STMT(notify_transition();)
+    notify_transition();
   } else if (low_mode_ && budget_ >= config_.recover_threshold_gbit) {
     low_mode_ = false;
-    CLOUDREPRO_OBS_STMT(notify_transition();)
+    notify_transition();
   }
 }
 
@@ -79,9 +78,7 @@ void TokenBucket::set_budget(double gbit) noexcept {
   budget_ = std::clamp(gbit, 0.0, config_.capacity_gbit);
   low_mode_ = budget_ < config_.recover_threshold_gbit ? (budget_ <= 0.0 || low_mode_)
                                                        : false;
-  if (low_mode_ != was_low) {
-    CLOUDREPRO_OBS_STMT(notify_transition();)
-  }
+  if (low_mode_ != was_low) notify_transition();
 }
 
 }  // namespace cloudrepro::simnet

@@ -155,12 +155,6 @@ double student_t_cdf(double t, double df) {
   return t > 0.0 ? 1.0 - tail : tail;
 }
 
-double f_cdf(double f, double d1, double d2) {
-  if (d1 <= 0.0 || d2 <= 0.0) throw std::invalid_argument{"f_cdf: degrees of freedom must be positive"};
-  if (f <= 0.0) return 0.0;
-  return incomplete_beta(d1 / 2.0, d2 / 2.0, d1 * f / (d1 * f + d2));
-}
-
 double chi_squared_cdf(double x, double df) {
   if (df <= 0.0) throw std::invalid_argument{"chi_squared_cdf: df must be positive"};
   if (x <= 0.0) return 0.0;

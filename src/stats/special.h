@@ -23,9 +23,6 @@ double normal_quantile(double p);
 /// Student's t distribution CDF with `df` degrees of freedom.
 double student_t_cdf(double t, double df);
 
-/// F distribution CDF with (d1, d2) degrees of freedom.
-double f_cdf(double f, double d1, double d2);
-
 /// Chi-squared distribution CDF with `df` degrees of freedom.
 double chi_squared_cdf(double x, double df);
 

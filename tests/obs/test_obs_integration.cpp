@@ -1,13 +1,11 @@
 // End-to-end checks that the observability layer tells the truth: traced
 // events and metric counters must reconcile exactly with the results the
 // instrumented layers report, and instrumentation must never change what a
-// run computes. Assertions about *emitted* telemetry are gated on
-// CLOUDREPRO_OBS so the suite also passes in an instrumentation-free build.
+// run computes.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,20 +19,12 @@
 #include "faults/injector.h"
 #include "json_lint.h"
 #include "obs/metrics.h"
-#include "obs/obs.h"
 #include "obs/trace.h"
 #include "simnet/fluid_network.h"
 #include "simnet/qos.h"
 
 namespace cloudrepro {
 namespace {
-
-[[maybe_unused]] std::string slurp(const std::filesystem::path& path) {
-  std::ifstream in{path};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 bigdata::Cluster twelve_nodes(double budget) {
   simnet::TokenBucketQos proto{*cloud::ec2_c5_xlarge().nominal_bucket()};
@@ -66,7 +56,6 @@ TEST(ObsIntegration, EngineCountersReconcileWithRecoveryStats) {
   ASSERT_EQ(r.recovery.nodes_lost, 2);
   ASSERT_GE(r.recovery.task_retries, 1);
 
-#if CLOUDREPRO_OBS
   EXPECT_DOUBLE_EQ(metrics.counter_value("engine.task_retries"),
                    static_cast<double>(r.recovery.task_retries));
   EXPECT_DOUBLE_EQ(metrics.counter_value("engine.nodes_lost"),
@@ -88,7 +77,6 @@ TEST(ObsIntegration, EngineCountersReconcileWithRecoveryStats) {
   const auto jobs = tracer.events_named("job");
   ASSERT_EQ(jobs.size(), 1u);
   EXPECT_DOUBLE_EQ(jobs[0].dur_s, r.runtime_s);
-#endif
 }
 
 TEST(ObsIntegration, SpeculationEventsReconcile) {
@@ -107,14 +95,10 @@ TEST(ObsIntegration, SpeculationEventsReconcile) {
   auto cluster = twelve_nodes(5000.0);
   const auto r = engine.run(shuffle_heavy(), cluster, rng);
 
-#if CLOUDREPRO_OBS
   EXPECT_EQ(tracer.events_named("speculation").size(),
             static_cast<std::size_t>(r.recovery.speculative_launches));
   EXPECT_DOUBLE_EQ(metrics.counter_value("engine.speculative_launches"),
                    static_cast<double>(r.recovery.speculative_launches));
-#else
-  (void)r;
-#endif
 }
 
 TEST(ObsIntegration, TokenBucketTransitionsAreTraced) {
@@ -136,7 +120,6 @@ TEST(ObsIntegration, TokenBucketTransitionsAreTraced) {
   net.start_flow(0, 1, 50.0);
   ASSERT_TRUE(net.run_until_flows_complete(1000.0));
 
-#if CLOUDREPRO_OBS
   const auto depleted = tracer.events_named("bucket_depleted");
   ASSERT_EQ(depleted.size(), 1u);
   // 20 Gbit of budget drained at (10 - 1) Gbit/s net -> depletion at ~2.22s.
@@ -150,7 +133,6 @@ TEST(ObsIntegration, TokenBucketTransitionsAreTraced) {
   EXPECT_GT(metrics.counter_value("simnet.allocations"), 0.0);
   EXPECT_EQ(tracer.events_named("flow_start").size(), 1u);
   EXPECT_EQ(tracer.events_named("flow_end").size(), 1u);
-#endif
 }
 
 TEST(ObsIntegration, InstrumentationDoesNotChangeEngineResults) {
@@ -185,7 +167,6 @@ TEST(ObsIntegration, InjectorTracesEveryPoppedEvent) {
     ++popped;
   }
   EXPECT_EQ(popped, 3u);
-#if CLOUDREPRO_OBS
   const auto events = tracer.snapshot();
   ASSERT_EQ(events.size(), 3u);
   // Instants land at the events' scheduled times, in pop (time) order.
@@ -193,16 +174,9 @@ TEST(ObsIntegration, InjectorTracesEveryPoppedEvent) {
   EXPECT_DOUBLE_EQ(events[1].ts_s, 2.0);
   EXPECT_DOUBLE_EQ(events[2].ts_s, 3.0);
   for (const auto& e : events) EXPECT_STREQ(e.category, "faults");
-#endif
 }
 
-TEST(ObsIntegration, CampaignWritesValidTraceAndMetricsFiles) {
-  const auto dir = std::filesystem::path{::testing::TempDir()};
-  const auto trace_path = dir / "obs_campaign_trace.json";
-  const auto metrics_path = dir / "obs_campaign_metrics.json";
-  std::filesystem::remove(trace_path);
-  std::filesystem::remove(metrics_path);
-
+TEST(ObsIntegration, CampaignSinksExportValidTraceAndMetricsJson) {
   std::vector<core::CampaignCell> cells;
   for (int c = 0; c < 3; ++c) {
     cells.push_back(core::CampaignCell{
@@ -211,27 +185,29 @@ TEST(ObsIntegration, CampaignWritesValidTraceAndMetricsFiles) {
   }
   core::CampaignOptions opt;
   opt.repetitions_per_cell = 4;
-  opt.trace_path = trace_path;
-  opt.metrics_path = metrics_path;
+  obs::Tracer tracer;
+  obs::MetricsRegistry metrics;
+  opt.tracer = &tracer;
+  opt.metrics = &metrics;
   const auto result = core::run_campaign(cells, opt, 99u);
   EXPECT_TRUE(result.complete);
 
-#if CLOUDREPRO_OBS
-  const std::string trace_json = slurp(trace_path);
+  std::ostringstream trace_out;
+  tracer.write_chrome_json(trace_out);
+  const std::string trace_json = trace_out.str();
   ASSERT_FALSE(trace_json.empty());
   EXPECT_TRUE(testing::JsonLint::valid(trace_json)) << trace_json.substr(0, 400);
   EXPECT_NE(trace_json.find("\"measurement\""), std::string::npos);
 
-  const std::string metrics_json = slurp(metrics_path);
+  std::ostringstream metrics_out;
+  metrics.write_json(metrics_out);
+  const std::string metrics_json = metrics_out.str();
   ASSERT_FALSE(metrics_json.empty());
   EXPECT_TRUE(testing::JsonLint::valid(metrics_json))
       << metrics_json.substr(0, 400);
   EXPECT_NE(metrics_json.find("campaign.measurements_executed"),
             std::string::npos);
   EXPECT_NE(metrics_json.find("campaign.cell_wall_s"), std::string::npos);
-#else
-  EXPECT_FALSE(std::filesystem::exists(trace_path));
-#endif
 }
 
 TEST(ObsIntegration, CampaignMetricsReconcileAcrossThreadCounts) {
@@ -252,14 +228,12 @@ TEST(ObsIntegration, CampaignMetricsReconcileAcrossThreadCounts) {
     const auto result = core::run_campaign(cells, opt, 1234u);
     EXPECT_TRUE(result.complete);
 
-#if CLOUDREPRO_OBS
     EXPECT_DOUBLE_EQ(metrics.counter_value("campaign.measurements_executed"),
                      20.0)
         << "threads=" << threads;
     EXPECT_EQ(tracer.events_named("measurement").size(), 20u)
         << "threads=" << threads;
     ASSERT_EQ(tracer.events_named("campaign").size(), 1u);
-#endif
   }
 }
 
@@ -293,10 +267,8 @@ TEST(ObsIntegration, ResumedCampaignCountsReplayedMeasurements) {
   EXPECT_TRUE(resumed.complete);
   EXPECT_EQ(resumed.resumed_measurements, 5u);
 
-#if CLOUDREPRO_OBS
   EXPECT_DOUBLE_EQ(metrics.counter_value("campaign.measurements_resumed"), 5.0);
   EXPECT_DOUBLE_EQ(metrics.counter_value("campaign.measurements_executed"), 7.0);
-#endif
   std::filesystem::remove(journal);
 }
 

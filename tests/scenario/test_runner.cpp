@@ -8,7 +8,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
+#include "io/vfs.h"
 #include "scenario/json.h"
 #include "scenario/registry.h"
 
@@ -182,6 +184,51 @@ TEST_F(ScenarioRunnerTest, CorruptJournalIsEvictedAndTheRunRedoneCold) {
   const auto redo = run_scenario(spec, options);
   EXPECT_TRUE(redo.complete);
   EXPECT_EQ(redo.executed_measurements, 12u);
+  EXPECT_EQ(redo.summary, reference.summary);
+}
+
+/// The real filesystem, calling `on_journal_open` whenever a campaign opens
+/// its journal for append.
+class JournalOpenProbe : public io::RealVfs {
+ public:
+  std::function<void()> on_journal_open;
+
+  std::unique_ptr<io::WritableFile> open_write(const fs::path& path,
+                                               io::WriteMode mode) override {
+    if (mode == io::WriteMode::kAppend && path.filename() == "journal.jsonl") {
+      on_journal_open();
+    }
+    return io::RealVfs::open_write(path, mode);
+  }
+};
+
+TEST_F(ScenarioRunnerTest, MismatchedJournalRerunsUnderTheEntryLock) {
+  const ScenarioSpec spec = tiny_spec();
+  ResultStore store{root_};
+  RunOptions options;
+  options.store = &store;
+  const auto reference = run_scenario(spec, options);
+
+  fs::remove(store.summary_path(spec, spec.seed));
+  {
+    std::ofstream out{store.journal_path(spec, spec.seed)};
+    out << R"({"campaign_journal":1,"seed":999,"cells":[]})" << "\n";
+    out << R"({"cell":0,"rep":0,"value":1.0})" << "\n";
+  }
+
+  // The re-run opens a fresh journal: by then no other process may be able
+  // to take the entry, or two campaigns would append to one journal.
+  int opens = 0;
+  JournalOpenProbe vfs;
+  vfs.on_journal_open = [&] {
+    ++opens;
+    EXPECT_TRUE(fs::exists(store.entry_dir(spec, spec.seed) / "lock"));
+    EXPECT_FALSE(store.try_lock(spec, spec.seed));
+  };
+  options.vfs = &vfs;
+  const auto redo = run_scenario(spec, options);
+  EXPECT_EQ(opens, 1);
+  EXPECT_TRUE(redo.complete);
   EXPECT_EQ(redo.summary, reference.summary);
 }
 

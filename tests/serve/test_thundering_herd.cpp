@@ -58,8 +58,8 @@ class ServeHerdTest : public ::testing::Test {
   }
 
   /// Record lines in the entry's journal, header excluded. A campaign that
-  /// ran once journals each measurement once; unlike the obs counters, this
-  /// holds in a -DCLOUDREPRO_OBS=OFF build too.
+  /// ran once journals each measurement once: the journal's own witness,
+  /// next to the `campaign.measurements_executed` counter.
   std::size_t journal_records(const ScenarioSpec& spec, std::uint64_t seed) const {
     std::ifstream in{store_->journal_path(spec, seed)};
     std::string line;
@@ -160,10 +160,8 @@ TEST_F(ServeHerdTest, EightConcurrentColdGetsExecuteTheCampaignExactlyOnce) {
             static_cast<double>(kHerd));
   EXPECT_EQ(metrics_.counter_value("scenario.cache.miss"), 1.0);
   EXPECT_EQ(metrics_.counter_value("scenario.cache.hit"), 0.0);
-#if CLOUDREPRO_OBS
   EXPECT_EQ(metrics_.counter_value("campaign.measurements_executed"),
             static_cast<double>(spec.total_measurements()));
-#endif
   EXPECT_EQ(journal_records(spec, spec.seed), spec.total_measurements());
   EXPECT_EQ(metrics_.counter_value("serve.get_executed"), 1.0);
 }
@@ -273,10 +271,8 @@ TEST_F(ServeHerdTest, HammerMixedOperationsUnderConcurrency) {
               warm.total_measurements())
         << "seed " << 1000 + i;
   }
-#if CLOUDREPRO_OBS
   EXPECT_EQ(metrics_.counter_value("campaign.measurements_executed"),
             static_cast<double>(warm.total_measurements() * kThreads));
-#endif
 }
 
 }  // namespace

@@ -74,14 +74,6 @@ TEST(SpecialTest, StudentTApproachesNormalForLargeDf) {
   EXPECT_NEAR(student_t_cdf(1.96, 100000.0), normal_cdf(1.96), 1e-4);
 }
 
-TEST(SpecialTest, FCdfBasics) {
-  EXPECT_DOUBLE_EQ(f_cdf(0.0, 3.0, 10.0), 0.0);
-  // F(1, d, d) has median 1 by symmetry.
-  EXPECT_NEAR(f_cdf(1.0, 7.0, 7.0), 0.5, 1e-10);
-  // 95% point of F(2, 10) is about 4.10.
-  EXPECT_NEAR(f_cdf(4.10, 2.0, 10.0), 0.95, 2e-3);
-}
-
 TEST(SpecialTest, ChiSquaredCdfKnownValues) {
   // Chi2(2) is exponential with mean 2: CDF(x) = 1 - exp(-x/2).
   EXPECT_NEAR(chi_squared_cdf(2.0, 2.0), 1.0 - std::exp(-1.0), 1e-10);
